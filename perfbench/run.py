@@ -1,7 +1,7 @@
 """Host-time benchmark of the simulator's four entry points.
 
     python3 perfbench/run.py --workload train_spec_ddp --seed 1 \\
-        --seconds 20 --trace 0
+        --seconds 15 --trace 0
 
 Runs one workload (see ``workloads.py`` and ``README.md``) as a closed
 loop with one client: the next op is issued when the previous one returns,
@@ -20,6 +20,7 @@ with the keys ``correct``, ``attempted``, ``failed`` and ``metrics``.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -38,18 +39,17 @@ OUT = os.path.join(HERE, "out")
 GOLDEN = os.path.join(HERE, "golden.json")
 
 #: child processes whose start-to-exit wall time gives ``setup_s``
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 7
 #: the calibration loop's seconds on the reference host (2-core x86-64
 #: VM, Python 3.11): end-to-end times are reported in reference seconds,
 #: ``host_seconds * REF_CALIB_S / calib`` with ``calib`` the loop timed
-#: just before the op (wall for wall times, CPU for CPU times), so a host
-#: that runs slower or faster for a while moves both alike and cancels out
+#: just before the op (wall for wall times, CPU for CPU times; the median over
+#: the timed ops for ``setup_s``), so a host that runs slower or faster for a
+#: while moves both alike and cancels out
 REF_CALIB_S = 0.005
 
-#: ``ops_per_s`` (one over the mean op time) is printed on the ``#`` line
-#: but not reported: its run-to-run spread on a shared host is too wide to
-#: gate, and ``op_p50_s`` carries the same cost more steadily
 END_TO_END = (
+    ("ops_per_s", "1/s"),
     ("op_p50_s", "s"),
     ("op_cpu_p50_s", "s"),
     ("setup_s", "s"),
@@ -68,7 +68,9 @@ class _Node:
 class HostCalibration:
     """A fixed pure-Python loop in the simulator's style -- attribute
     reads, tuple-keyed dict inserts and lookups over a few MB of objects
-    -- whose time no change to the simulator can move."""
+    -- timed with the garbage collector off, so the simulator's heap
+    cannot trigger a collection inside it.  See README.md, "Host
+    normalisation", for what can still move it."""
 
     def __init__(self) -> None:
         rng = random.Random(0)
@@ -80,6 +82,8 @@ class HostCalibration:
 
     def run(self) -> Tuple[float, float]:
         """(wall, CPU) seconds of one pass; the wall is also recorded."""
+        enabled = gc.isenabled()
+        gc.disable()
         c0, t0 = time.process_time(), time.perf_counter()
         table, acc, seen = self.table, 0, {}
         for node in self.nodes[:2_500]:
@@ -88,6 +92,8 @@ class HostCalibration:
                 seen[(edge.key, node.key % 13)] = table.get(
                     (edge.key, edge.key * 7 % 13), 0)
         wall, cpu = time.perf_counter() - t0, time.process_time() - c0
+        if enabled:
+            gc.enable()
         self.walls.append(wall)
         return wall, cpu
 
@@ -98,20 +104,25 @@ def normalised(seconds: List[float], calibs: List[float]) -> List[float]:
 
 
 class Samples:
-    """Per-op wall and CPU seconds and the calibration before each op."""
+    """Per-op wall and CPU seconds, the calibration before each op, and
+    how many ops were attempted and failed."""
 
     def __init__(self) -> None:
         self.walls: List[float] = []
         self.cpus: List[float] = []
         self.calib_walls: List[float] = []
         self.calib_cpus: List[float] = []
+        self.attempted = 0
+        self.failed = 0
 
     def ops_per_ref_s(self) -> float:
         return len(self.walls) / sum(normalised(self.walls, self.calib_walls))
 
 
 class Client:
-    """One closed-loop client: issues ops, times them, checks outputs."""
+    """One closed-loop client: issues ops, times them, checks outputs.
+
+    ``attempted`` and ``failed`` count the workload's own ops only."""
 
     def __init__(self, name: str, seed: int, golden_path: str) -> None:
         from workloads import WORKLOADS
@@ -134,8 +145,11 @@ class Client:
              ) -> Samples:
         """Issue ops until ``seconds`` have passed, each preceded by a
         calibration.  Defaults to the workload's op checked against the
-        warm-up op; ``after(outputs)`` runs after each op, untimed."""
-        if fn is None:
+        warm-up op, and then adds to ``attempted``/``failed``; another
+        ``fn`` is checked against ``ref`` and counted in the returned
+        samples only.  ``after(outputs)`` runs after each op, untimed."""
+        own = fn is None
+        if own:
             fn, ref, ref_ok = self.work.op, self.ref, self.ref_ok
         else:
             ref_ok = True
@@ -155,35 +169,34 @@ class Client:
                     self._reported = True
             samples.walls.append(time.perf_counter() - t0)
             samples.cpus.append(time.process_time() - c0)
-            self.attempted += 1
-            self.failed += not (ref_ok and out == ref)
+            samples.attempted += 1
+            samples.failed += not (ref_ok and out == ref)
             if after is not None:
                 after(out or {})
             if time.perf_counter() >= deadline:
                 break
+        if own:
+            self.attempted += samples.attempted
+            self.failed += samples.failed
         return samples
 
 
-def setup_seconds(args: argparse.Namespace, calib: HostCalibration
-                  ) -> Tuple[float, float]:
-    """(reference, raw) median seconds of :data:`SETUP_SAMPLES` child
-    processes, each timed from spawn to exit: interpreter start, imports,
-    golden load, cluster and runtime build and the warm-up op."""
+def setup_seconds(args: argparse.Namespace) -> float:
+    """Median host seconds of :data:`SETUP_SAMPLES` child processes, each
+    timed from spawn to exit: interpreter start, imports, golden load,
+    cluster and runtime build and the warm-up op."""
     cmd = [sys.executable, os.path.abspath(__file__),
            "--workload", args.workload, "--seed", str(args.seed),
            "--golden", args.golden, "--setup-only"]
     raw: List[float] = []
-    calibs: List[float] = []
     for _ in range(SETUP_SAMPLES):
-        calibs.append(statistics.median(calib.run()[0] for _ in range(3)))
         t0 = time.perf_counter()
         proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.DEVNULL,
                               timeout=120)
         raw.append(time.perf_counter() - t0)
         if proc.returncode != 0:
             raise RuntimeError(f"setup child exited {proc.returncode}")
-    return (statistics.median(normalised(raw, calibs)),
-            statistics.median(raw))
+    return statistics.median(raw)
 
 
 def metric(value: float, unit: str) -> Dict[str, Any]:
@@ -193,18 +206,21 @@ def metric(value: float, unit: str) -> Dict[str, Any]:
 def run_untraced(client: Client, args: argparse.Namespace) -> Dict[str, Any]:
     run = client.loop(args.seconds)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    setup, setup_raw = setup_seconds(args, client.calib)
+    setup_raw = setup_seconds(args)
+    # set-up children are separate processes, so ``setup_s`` is scaled by
+    # the host speed over the timed ops rather than by a pass beside each
+    host_calib = statistics.median(run.calib_walls)
     values = {
+        "ops_per_s": run.ops_per_ref_s(),
         "op_p50_s": statistics.median(normalised(run.walls, run.calib_walls)),
         "op_cpu_p50_s": statistics.median(
             normalised(run.cpus, run.calib_cpus)),
-        "setup_s": setup,
+        "setup_s": setup_raw * REF_CALIB_S / host_calib,
         "peak_rss_mb": rss_mb,
     }
     print(f"# {args.workload} seed={args.seed} ops={len(run.walls)} "
-          f"ops_per_s={run.ops_per_ref_s():.4f} "
           f"op_fail_ratio={client.failed / client.attempted:.4f} "
-          f"host.calib_s={statistics.median(client.calib.walls):.6f} | raw host "
+          f"host.calib_s={host_calib:.6f} | raw host "
           f"seconds: ops_per_s={len(run.walls) / sum(run.walls):.4f} "
           f"op_p50_s={statistics.median(run.walls):.6f} "
           f"op_cpu_p50_s={statistics.median(run.cpus):.6f} "
@@ -238,8 +254,13 @@ def run_traced(client: Client, args: argparse.Namespace) -> Dict[str, Any]:
 
     if has_world1:
         ref1 = work.world1_op()  # warm-up and reference
-        world1 = statistics.median(
-            client.loop(phase, fn=work.world1_op, ref=ref1).walls)
+        base = client.loop(phase, fn=work.world1_op, ref=ref1)
+        world1 = statistics.median(base.walls)
+        print(f"# world1 baseline: attempted={base.attempted} "
+              f"failed={base.failed}")
+        if base.failed:
+            print(f"{base.failed} of {base.attempted} world-size-1 baseline "
+                  f"ops failed", file=sys.stderr)
     else:
         world1 = statistics.median(untraced.walls)
 

@@ -6,8 +6,8 @@
    reported, with its unit, by every workload (short untraced and traced
    runs of each).
 2. A deliberately wrong golden makes every op fail (``op_fail_ratio`` 1).
-3. The seed changes the ``serve_tp_kvtight`` requests but not their total
-   work.
+3. The seed changes the ``serve_tp_kvtight`` requests, and their offered
+   rate is 1.3x-2x the replica's closed-loop capacity (past the knee).
 4. ``train_spec_ddp`` at its original 16 layers reproduces the simulated
    fields of ``benchmarks/wallclock_baseline.json``.
 5. The traced runs confirm the workload design (README, "Design check").
@@ -33,7 +33,7 @@ ROOT = os.path.dirname(HERE)
 OUT = os.path.join(HERE, "out")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from workloads import DEFAULT_SEED, SeededTraffic, ServeTpKvTight, TrainSpecDdp  # noqa: E402
+from workloads import DEFAULT_SEED, ServeTpKvTight, TrainSpecDdp  # noqa: E402
 
 NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 UNIT = re.compile(r"^[A-Za-z0-9_/%.-]{1,16}$")
@@ -129,21 +129,25 @@ def check_wrong_golden() -> None:
           "a wrong golden fails every op (op_fail_ratio = 1)")
 
 
-def check_seeded_traffic() -> None:
-    args = (ServeTpKvTight.RATE, ServeTpKvTight.N_REQUESTS, (16, 64), (8, 32))
-    a, b = SeededTraffic(DEFAULT_SEED, *args), SeededTraffic(1, *args)
-    reqs_a, reqs_b = a.outstanding({}), b.outstanding({})
+def check_serve_traffic() -> None:
+    def key(work):
+        return [(r.prompt_tokens, r.max_new_tokens, r.arrival)
+                for r in work.traffic.outstanding({})]
 
-    def key(reqs):
-        return [(r.prompt_tokens, r.max_new_tokens, r.arrival) for r in reqs]
+    check(key(ServeTpKvTight(DEFAULT_SEED)) != key(ServeTpKvTight(1)),
+          "seed changes serve_tp_kvtight requests")
 
-    def work(reqs):
-        return (sum(r.prompt_tokens for r in reqs),
-                sum(r.max_new_tokens for r in reqs),
-                round(max(r.arrival for r in reqs), 12))
+    from repro.serve import ClosedLoopTraffic, serve_traffic
 
-    check(key(reqs_a) != key(reqs_b) and work(reqs_a) == work(reqs_b),
-          "seed changes serve_tp_kvtight requests, not their total work")
+    work = ServeTpKvTight(DEFAULT_SEED)
+    work.setup()
+    probe = serve_traffic(
+        work.model, ClosedLoopTraffic(clients=64, n_requests=256, seed=7),
+        runtime=work.runtime, **work.KNOBS)
+    ratio = work.RATE / probe.completed_per_sec
+    check(1.3 <= ratio <= 2.0,
+          f"serve_tp_kvtight offers {ratio:.2f}x the replica's closed-loop "
+          f"capacity of {probe.completed_per_sec:.0f} req/s (1.3x-2x)")
 
 
 def check_pr8_scenario() -> None:
@@ -188,7 +192,7 @@ def main() -> int:
     spec = check_declaration()
     check_reports(spec)
     check_wrong_golden()
-    check_seeded_traffic()
+    check_serve_traffic()
     check_pr8_scenario()
     check_design()
     check_bare_directory()

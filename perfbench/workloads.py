@@ -231,66 +231,28 @@ class TrainRealHybrid(_Workload):
         return self._run(self.runtime1, self.prog1)
 
 
-class SeededTraffic:
-    """Open-loop Poisson traffic whose requests the benchmark generates.
-
-    The seed permutes one fixed multiset of prompt lengths, output lengths
-    and inter-arrival gaps, so every seed offers the same total work at
-    the same mean rate while request order, sizes and arrival pattern
-    change.  Implements the traffic protocol ``ServeEngine`` consumes."""
-
-    kind = "open"
-
-    def __init__(self, seed: int, rate: float, n_requests: int,
-                 prompt_tokens: Tuple[int, int],
-                 max_new_tokens: Tuple[int, int]) -> None:
-        from repro.serve import Request
-
-        base = np.random.default_rng(0)
-        gaps = base.exponential(1.0 / rate, n_requests)
-        prompts = np.linspace(prompt_tokens[0], prompt_tokens[1],
-                              n_requests).round().astype(int)
-        news = np.linspace(max_new_tokens[0], max_new_tokens[1],
-                           n_requests).round().astype(int)
-        rng = np.random.default_rng([seed, 4])
-        gaps, prompts, news = (rng.permutation(v) for v in (gaps, prompts, news))
-        arrivals = np.cumsum(gaps)
-        self.seed = int(seed)
-        self.rate = float(rate)
-        self.n_requests = int(n_requests)
-        self._specs = [(i, int(prompts[i]), int(news[i]), float(arrivals[i]))
-                       for i in range(n_requests)]
-        self._request = Request
-
-    def outstanding(self, records: Dict[int, Any]) -> List[Any]:
-        return [self._request(i, p, n, a, client=i)
-                for i, p, n, a in self._specs if i not in records]
-
-    def next_request(self, finished: Any, t: float) -> None:
-        return None
-
-    def describe(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "rate": self.rate,
-                "n_requests": self.n_requests, "seed": self.seed}
-
-
 class ServeTpKvTight(_Workload):
-    """``serve_traffic`` on a TP4 replica, open-loop traffic at 1.5x the
-    replica's saturated capacity (past the knee), with a KV pool of 48
-    blocks so the scheduler preempts and re-admits requests."""
+    """``serve_traffic`` on a TP4 replica, open-loop Poisson traffic at
+    about 1.5x the replica's saturated capacity (past the knee), with a KV
+    pool of 48 blocks so the scheduler preempts and re-admits requests."""
 
     name = "serve_tp_kvtight"
     TP = 4
-    #: requests/s; the TP4 replica completes ~6.5k req/s when saturated by
-    #: a closed loop of 64 clients, so this offers ~1.5x its capacity
-    RATE = 10000.0
+    #: requests/s.  This replica (TP4, 48 KV blocks, 256 batch tokens)
+    #: completes at most ~1.95k req/s: a closed loop of 32 or 64
+    #: zero-think clients completes 1948 and 1966 req/s.  3000 req/s
+    #: offers ~1.5x that: completions saturate at ~1.9-2.0k req/s while
+    #: p99 TTFT grows 6x over the 2000 req/s load
+    RATE = 3000.0
     N_REQUESTS = 192
     KNOBS = dict(max_batch_tokens=256, kv_blocks=48, block_size=16)
 
     def __init__(self, seed: int) -> None:
         super().__init__(seed)
-        self.traffic = SeededTraffic(self.seed, self.RATE, self.N_REQUESTS,
-                                     (16, 64), (8, 32))
+        from repro.serve import OpenLoopTraffic
+
+        self.traffic = OpenLoopTraffic(self.RATE, self.N_REQUESTS,
+                                       seed=self.seed)
 
     def setup(self) -> None:
         from repro.cluster import uniform_cluster
