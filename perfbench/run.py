@@ -11,10 +11,12 @@ differs counts as failed.
 
 ``--trace 0`` prints the end-to-end metrics, in reference seconds: each
 op's host seconds are scaled by a calibration loop timed just before it
-(``HostCalibration``), so host speed drifts cancel.  ``--trace 1`` prints the
-per-layer metrics of a separate traced run and writes its spans to
-``perfbench/out/``.  The last line of standard output is one JSON object
-with the keys ``correct``, ``attempted``, ``failed`` and ``metrics``.
+(``HostCalibration``), so host speed drifts cancel.  This run and its
+set-up children are pinned to one CPU (``pin_one_cpu``).  ``--trace 1``
+prints the per-layer metrics of a separate, unpinned traced run and
+writes its spans to ``perfbench/out/``.  The last line of standard
+output is one JSON object with the keys ``correct``, ``attempted``,
+``failed`` and ``metrics``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import json
 import os
 import random
 import resource
+import select
 import statistics
 import subprocess
 import sys
@@ -38,15 +41,23 @@ SRC = os.path.join(ROOT, "src")
 OUT = os.path.join(HERE, "out")
 GOLDEN = os.path.join(HERE, "golden.json")
 
-#: child processes whose start-to-exit wall time gives ``setup_s``
-SETUP_SAMPLES = 7
+#: child processes whose spawn-to-ready wall time gives ``setup_s``, and
+#: the calibration passes timed before and after each
+SETUP_SAMPLES = 9
+SETUP_CALIB_PASSES = 3
+#: what a set-up child prints when set up, and how long it may take
+READY = b"ready\n"
+SETUP_TIMEOUT_S = 120
 #: the calibration loop's seconds on the reference host (2-core x86-64
 #: VM, Python 3.11): end-to-end times are reported in reference seconds,
 #: ``host_seconds * REF_CALIB_S / calib`` with ``calib`` the loop timed
-#: just before the op (wall for wall times, CPU for CPU times; the median over
-#: the timed ops for ``setup_s``), so a host that runs slower or faster for a
-#: while moves both alike and cancels out
+#: just before the op (wall for wall times, CPU for CPU times; passes
+#: around each set-up child for ``setup_s``), so a host that runs slower or
+#: faster for a while moves both alike and cancels out
 REF_CALIB_S = 0.005
+
+#: ops per window of ``ops_per_s``
+WINDOW_OPS = 10
 
 END_TO_END = (
     ("ops_per_s", "1/s"),
@@ -116,7 +127,16 @@ class Samples:
         self.failed = 0
 
     def ops_per_ref_s(self) -> float:
-        return len(self.walls) / sum(normalised(self.walls, self.calib_walls))
+        """Ops per reference second of op time: the count over the summed
+        normalised op times of each window of :data:`WINDOW_OPS`
+        consecutive ops, median over the windows (one window if there are
+        fewer ops).  A stretch of host slowness moves a window or two,
+        not the median; a program slowdown moves every window."""
+        times = normalised(self.walls, self.calib_walls)
+        n = max(1, len(times) // WINDOW_OPS)
+        size = len(times) // n
+        return statistics.median(
+            size / sum(times[i * size:(i + 1) * size]) for i in range(n))
 
 
 class Client:
@@ -181,22 +201,38 @@ class Client:
         return samples
 
 
-def setup_seconds(args: argparse.Namespace) -> float:
-    """Median host seconds of :data:`SETUP_SAMPLES` child processes, each
-    timed from spawn to exit: interpreter start, imports, golden load,
-    cluster and runtime build and the warm-up op."""
+def setup_seconds(args: argparse.Namespace, calib: HostCalibration
+                  ) -> Tuple[float, float]:
+    """(reference, raw host) seconds of set-up: medians over
+    :data:`SETUP_SAMPLES` child processes, each timed from spawn until it
+    reports ``ready`` -- interpreter start, imports, golden load, cluster
+    and runtime build and the warm-up op.  Each child is scaled by the
+    median of :data:`SETUP_CALIB_PASSES` calibration passes timed just
+    before and as many just after it, while this process is otherwise
+    idle.  The wait blocks on the child's output rather than polling for
+    its exit, whose 50 ms sleeps in ``subprocess`` rounded the times."""
     cmd = [sys.executable, os.path.abspath(__file__),
            "--workload", args.workload, "--seed", str(args.seed),
            "--golden", args.golden, "--setup-only"]
     raw: List[float] = []
+    ref: List[float] = []
     for _ in range(SETUP_SAMPLES):
+        passes = [calib.run()[0] for _ in range(SETUP_CALIB_PASSES)]
         t0 = time.perf_counter()
-        proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.DEVNULL,
-                              timeout=120)
-        raw.append(time.perf_counter() - t0)
-        if proc.returncode != 0:
-            raise RuntimeError(f"setup child exited {proc.returncode}")
-    return statistics.median(raw)
+        with subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE) as proc:
+            line = None
+            while line not in (READY, b"") and select.select(
+                    [proc.stdout], [], [], SETUP_TIMEOUT_S)[0]:
+                line = proc.stdout.readline()
+            raw.append(time.perf_counter() - t0)
+            if line != READY:
+                proc.kill()
+            code = proc.wait(SETUP_TIMEOUT_S)
+        if line != READY or code != 0:
+            raise RuntimeError(f"setup child exited {code} before ready")
+        passes += [calib.run()[0] for _ in range(SETUP_CALIB_PASSES)]
+        ref.append(raw[-1] * REF_CALIB_S / statistics.median(passes))
+    return statistics.median(ref), statistics.median(raw)
 
 
 def metric(value: float, unit: str) -> Dict[str, Any]:
@@ -206,16 +242,14 @@ def metric(value: float, unit: str) -> Dict[str, Any]:
 def run_untraced(client: Client, args: argparse.Namespace) -> Dict[str, Any]:
     run = client.loop(args.seconds)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    setup_raw = setup_seconds(args)
-    # set-up children are separate processes, so ``setup_s`` is scaled by
-    # the host speed over the timed ops rather than by a pass beside each
+    setup_ref, setup_raw = setup_seconds(args, client.calib)
     host_calib = statistics.median(run.calib_walls)
     values = {
         "ops_per_s": run.ops_per_ref_s(),
         "op_p50_s": statistics.median(normalised(run.walls, run.calib_walls)),
         "op_cpu_p50_s": statistics.median(
             normalised(run.cpus, run.calib_cpus)),
-        "setup_s": setup_raw * REF_CALIB_S / host_calib,
+        "setup_s": setup_ref,
         "peak_rss_mb": rss_mb,
     }
     print(f"# {args.workload} seed={args.seed} ops={len(run.walls)} "
@@ -293,12 +327,21 @@ def run_traced(client: Client, args: argparse.Namespace) -> Dict[str, Any]:
             for name, unit in layers.PER_LAYER}
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    from workloads import DEFAULT_SEED
+def pin_one_cpu() -> None:
+    """Run this process, its rank threads and the set-up children on one
+    CPU.  Under the GIL the rank threads run one at a time anyway; spread
+    over CPUs, each hand-off between them waits for another vCPU to wake,
+    and on a shared host that latency, not the program, set the spread of
+    the threaded workloads' op times.  Called before numpy is imported."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
+
+def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    ap.add_argument("--seed", type=int, default=None,
+                    help="input seed (default: the golden's seed, 0)")
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--golden", default=GOLDEN,
@@ -306,12 +349,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--setup-only", action="store_true",
                     help="set up, run the warm-up op and exit (times setup_s)")
     args = ap.parse_args(argv)
+    if not args.trace:
+        pin_one_cpu()  # the traced run is not pinned: see README.md
 
     if not os.path.isdir(os.path.join(SRC, "repro")):
         print(f"no simulator sources under {SRC}", file=sys.stderr)
         return 2
     sys.path.insert(0, SRC)
-    from workloads import WORKLOADS
+    from workloads import DEFAULT_SEED, WORKLOADS
+
+    if args.seed is None:
+        args.seed = DEFAULT_SEED
 
     if args.workload not in WORKLOADS:
         print(f"unknown workload {args.workload!r}; "
@@ -320,7 +368,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     client = Client(args.workload, args.seed, args.golden)
     if args.setup_only:
-        return 0  # the parent checks outputs; this child only times set-up
+        # the parent checks outputs; this child only times set-up
+        sys.stdout.buffer.write(READY)
+        sys.stdout.flush()
+        return 0
     run = run_traced if args.trace else run_untraced
     metrics = run(client, args)
     print(json.dumps({
