@@ -293,10 +293,15 @@ def compile_strategy(
 
     Deterministic: candidate enumeration order is fixed, all scoring is
     closed-form or simulated on deterministic clocks, and every tie breaks
-    on :meth:`StrategyCandidate.sort_key`.  Raises ``ValueError`` when no
-    candidate fits device memory (the report text is in the message)."""
+    on :meth:`StrategyCandidate.sort_key`.  Raises ``ValueError`` when
+    ``world_size`` exceeds the cluster or no candidate fits device memory
+    (the report text is in the message)."""
     work = workload if isinstance(workload, Workload) else Workload(**workload)
     world = world_size or cluster.world_size
+    if world > cluster.world_size:
+        raise ValueError(
+            f"world_size {world} exceeds cluster size {cluster.world_size}"
+        )
     batch = global_batch if global_batch is not None else 8 * world
     space = space or SearchSpace()
     cache = _CostCache(cluster)

@@ -214,6 +214,30 @@ class Communicator:
         finalize, spec = self._allreduce_round(x, op)
         return self.group.rendezvous_async(self.global_rank, x, finalize, spec)
 
+    def all_reduce_members(self, xs: Sequence[Payload],
+                           op: ReduceOp = "sum") -> List[Payload]:
+        """:meth:`all_reduce` for every member of the group at once, from
+        the calling thread: ``xs[i]`` is local rank ``i``'s payload and the
+        results come back in local-rank order.  For programs that run a
+        group's symmetric ranks on one thread (a serving replica); the round
+        is priced and recorded like the threaded one
+        (:meth:`ProcessGroup.rendezvous_members`)."""
+        if len(xs) != self.size:
+            raise ValueError(
+                f"all_reduce_members: {len(xs)} payloads for a group of "
+                f"{self.size}"
+            )
+        finalize, _ = self._allreduce_round(xs[0], op)
+        group = self.group
+        san = group.runtime.sanitizer
+        specs = None if san is None else {
+            i: san.make_spec("all_reduce", x, Communicator(group, g),
+                             reduce_op=op)
+            for i, (g, x) in enumerate(zip(group.ranks, xs))
+        }
+        results = group.rendezvous_members(dict(enumerate(xs)), finalize, specs)
+        return [results[i] for i in range(self.size)]
+
     def _allgather_round(self, x: Payload, axis: int):
         def finalize(payloads: Dict[int, Payload]):
             chunks = [payloads[i] for i in sorted(payloads)]

@@ -10,6 +10,11 @@ completes when every member has arrived, at which point the last arriver
 3. synchronizes all member clocks to ``max(entry times) + cost``, and
 4. records wire traffic in the group's counters.
 
+:meth:`ProcessGroup.rendezvous_members` is the one-thread entry point: a
+program that runs all members of a group on one thread (a serving replica)
+enters every member at once, and the round completes through the same
+:meth:`ProcessGroup._complete_round` as a threaded one.
+
 The rendezvous is event-driven: waiters park on the group condition and the
 last arriver (or the abort path via ``SpmdRuntime._wake_all``) notifies them
 — there is no poll tick.  One failing rank therefore aborts everyone
@@ -227,115 +232,191 @@ class ProcessGroup:
                 pass
             elif len(rnd.payloads) == self.size:
                 # Last arriver finalizes on behalf of everyone.
-                race_token = None
-                try:
-                    if san is not None:
-                        san.verify_round(self, seq, rnd.specs)
-                        race_token = san.race_acquire(self, rnd.payloads)
-                    results, cost, op, itemsize = finalize(rnd.payloads)
-                    failures, permanent = 0, False
-                    retry_seconds = 0.0
-                    if injector is not None:
-                        failures, permanent = injector.collective_verdict(
-                            op, self.ranks, seq
-                        )
-                        if (failures or permanent) and san is not None:
-                            san.note_injected_glitch(
-                                op, self.ranks, failures, permanent
-                            )
-                        if permanent:
-                            # Exhaust the full retransmission budget, then
-                            # give up: every member raises the timeout.
-                            failures = self.runtime.retry_policy.max_retries + 1
-                        if failures:
-                            policy = self.runtime.retry_policy
-                            for a in range(1, failures + 1):
-                                retry_seconds += cost.seconds + policy.backoff(a)
-                            self.counters.record_retry(
-                                op,
-                                failures * cost.wire_bytes,
-                                failures * cost.wire_elements(itemsize),
-                                attempts=failures,
-                            )
-                    # a blocking round serializes after any in-flight
-                    # nonblocking ops on this group's comm stream
-                    t_base = max(rnd.entry_times.values())
-                    if self.async_tail > t_base:
-                        t_base = self.async_tail
-                    if permanent:
-                        t_end = t_base + retry_seconds
-                    else:
-                        t_end = t_base + cost.seconds + retry_seconds
-                    self.async_tail = t_end
-                    for g in self.ranks:
-                        self.runtime.clocks[g].sync_to(t_end, "comm")
-                    if permanent:
-                        raise CollectiveTimeout(
-                            op, self.ranks, attempts=failures
-                        )
-                    if cost.wire_bytes:
-                        self.counters.record(
-                            op, cost.wire_bytes, cost.wire_elements(itemsize),
-                            algorithm=cost.algorithm,
-                        )
-                    if san is not None:
-                        rnd.trace_extra = san.finish_round(
-                            self, seq, rnd.specs, rnd.payloads, results,
-                            race_token,
-                        )
-                        race_token = None  # released by finish_round
-                    rnd.algorithm = cost.algorithm
-                    rnd.op = op
-                    rnd.t_end = t_end
-                    rnd.wire_bytes = cost.wire_bytes
-                    rnd.retries = failures
-                    rnd.retry_seconds = retry_seconds
-                    rnd.results = results
-                    cap = self.runtime.capture
-                    if cap is not None:
-                        cap.record_round(
-                            self, seq, "sync", cost, op, itemsize, rnd.payloads
-                        )
-                except BaseException as exc:  # propagate to all members
-                    if race_token is not None:
-                        san.race_release(race_token)
-                    rnd.error = exc
-                rnd.done = True
-                self._cond.notify_all()
+                self._complete_round(rnd, seq, finalize, blocking=True)
             else:
                 self._await_round(my_global_rank, seq, rnd, spec, clock)
 
+            rnd.claimed += 1
+            if rnd.claimed == self.size:
+                del self._rounds[seq]
             if rnd.error is not None:
-                rnd.claimed += 1
-                if rnd.claimed == self.size:
-                    del self._rounds[seq]
                 raise rnd.error
-
             assert rnd.results is not None
-            result = rnd.results[me]
-            cap = self.runtime.capture
+            return rnd.results[me]
+
+    def rendezvous_members(self, payloads: Dict[int, Any],
+                           finalize: FinalizeFn,
+                           specs: Optional[Dict[int, Any]] = None,
+                           ) -> Dict[int, Any]:
+        """Enter one blocking round for every member at once, from the
+        calling thread; returns the results by local rank.
+
+        For programs that run a group's symmetric ranks on one thread and
+        drive every member's clock themselves (a serving replica).  Each
+        member is checked for a scheduled crash in local-rank order, then
+        enters at its own clock time, and the round completes through the
+        same :meth:`_complete_round` as a threaded rendezvous: the same
+        pricing, clock sync, counters, sanitizer checks (``specs`` by local
+        rank), capture records and per-member trace spans.
+        """
+        if self.size == 1:
+            return {0: self.rendezvous(
+                self.ranks[0], payloads[0], finalize,
+                specs.get(0) if specs else None)}
+        runtime = self.runtime
+        clocks = runtime.clocks
+        injector = runtime.fault_injector
+        if injector is not None:
+            for g in self.ranks:
+                injector.check_time_crash(g, clocks[g].time)
+        seq = self._seq[self.ranks[0]]
+        if any(self._seq[g] != seq for g in self.ranks) or seq in self._rounds:
+            raise RuntimeError(
+                f"one-thread round on group {self.ranks} while members have "
+                f"threaded rounds in flight"
+            )
+        rnd = _Round()
+        rnd.mode = "sync"
+        rnd.payloads = dict(payloads)
+        rnd.entry_times = {i: clocks[g].time for i, g in enumerate(self.ranks)}
+        if specs is not None:
+            for spec in specs.values():
+                spec.seq = seq
+            rnd.specs = dict(specs)
+        for g in self.ranks:
+            self._seq[g] = seq + 1
+        with self._cond:
+            self._complete_round(rnd, seq, finalize, blocking=True)
+        if rnd.error is not None:
+            raise rnd.error
+        assert rnd.results is not None
+        return rnd.results
+
+    def _complete_round(self, rnd: _Round, seq: int, finalize: FinalizeFn,
+                        blocking: bool) -> None:
+        """Finalize a full round (group condition held).
+
+        Runs the sanitizer's cross-check, ``finalize`` (payload combine and
+        cost), the injector's verdict with its retries and backoff, then
+        places the round after the group's comm-stream tail.  A blocking
+        round syncs every member's clock to its end; a nonblocking one
+        occupies every member's comm stream instead and leaves the clocks
+        to the handles' ``wait``.  On success it records the counters, the
+        sanitizer's per-rank records, the capture and the per-member trace
+        spans.  Any error is stored on the round for every member to raise.
+        """
+        runtime = self.runtime
+        injector = runtime.fault_injector
+        san = runtime.sanitizer
+        race_token = None
+        try:
+            if san is not None:
+                san.verify_round(self, seq, rnd.specs)
+                race_token = san.race_acquire(self, rnd.payloads)
+            results, cost, op, itemsize = finalize(rnd.payloads)
+            failures, permanent = 0, False
+            retry_seconds = 0.0
+            if injector is not None:
+                failures, permanent = injector.collective_verdict(
+                    op, self.ranks, seq
+                )
+                if (failures or permanent) and san is not None:
+                    san.note_injected_glitch(op, self.ranks, failures, permanent)
+                if permanent:
+                    # Exhaust the full retransmission budget, then give up:
+                    # every member raises the timeout.
+                    failures = runtime.retry_policy.max_retries + 1
+                if failures:
+                    policy = runtime.retry_policy
+                    for a in range(1, failures + 1):
+                        retry_seconds += cost.seconds + policy.backoff(a)
+                    self.counters.record_retry(
+                        op,
+                        failures * cost.wire_bytes,
+                        failures * cost.wire_elements(itemsize),
+                        attempts=failures,
+                    )
+            # every round serializes after any in-flight nonblocking ops on
+            # this group's comm stream
+            t_start = max(rnd.entry_times.values())
+            if self.async_tail > t_start:
+                t_start = self.async_tail
+            if permanent:
+                t_end = t_start + retry_seconds
+            else:
+                t_end = t_start + cost.seconds + retry_seconds
+            self.async_tail = t_end
+            if blocking:
+                for g in self.ranks:
+                    runtime.clocks[g].sync_to(t_end, "comm")
+            else:
+                for g in self.ranks:
+                    runtime.comm_streams[g].occupy(t_start, t_end)
+            if permanent:
+                raise CollectiveTimeout(op, self.ranks, attempts=failures)
+            if cost.wire_bytes:
+                self.counters.record(
+                    op, cost.wire_bytes, cost.wire_elements(itemsize),
+                    algorithm=cost.algorithm,
+                )
+            if san is not None:
+                rnd.trace_extra = san.finish_round(
+                    self, seq, rnd.specs, rnd.payloads, results, race_token,
+                )
+                race_token = None  # released by finish_round
+            rnd.algorithm = cost.algorithm
+            rnd.op = op
+            rnd.t_start = t_start
+            rnd.t_end = t_end
+            rnd.wire_bytes = cost.wire_bytes
+            rnd.retries = failures
+            rnd.retry_seconds = retry_seconds
+            rnd.results = results
+            cap = runtime.capture
             if cap is not None:
-                cap.record_member(my_global_rank, self, seq, "c")
-            if tracer is not None and rnd.op is not None:
-                # one span per member rank, from its own entry to the common
-                # completion; local rank 0's span carries the round totals
+                cap.record_round(
+                    self, seq, "sync" if blocking else "async", cost, op,
+                    itemsize, rnd.payloads,
+                )
+                if blocking:
+                    for g in self.ranks:
+                        cap.record_member(g, self, seq, "c")
+            tracer = runtime.tracer
+            if tracer is not None:
+                self._trace_round(tracer, rnd, blocking)
+        except BaseException as exc:  # propagate to every member
+            if race_token is not None:
+                san.race_release(race_token)
+            rnd.error = exc
+        rnd.done = True
+        self._cond.notify_all()
+
+    def _trace_round(self, tracer: Any, rnd: _Round, blocking: bool) -> None:
+        """One span per member: a blocking round spans each member's own
+        entry to the common completion on its compute lane (plus a retry
+        span), a nonblocking one the stream occupancy on its comm lane.
+        Local rank 0's span carries the round totals."""
+        for local, g in enumerate(self.ranks):
+            if blocking:
                 tracer.annotate(
-                    my_global_rank, "collective", rnd.op,
-                    rnd.entry_times[me], rnd.t_end,
+                    g, "collective", rnd.op, rnd.entry_times[local], rnd.t_end,
                     wire_bytes=rnd.wire_bytes, group_size=self.size,
-                    retries=rnd.retries, primary=(me == 0),
+                    retries=rnd.retries, primary=(local == 0),
                     algo=rnd.algorithm, **rnd.trace_extra,
                 )
                 if rnd.retries:
                     tracer.annotate(
-                        my_global_rank, "retry", f"{rnd.op}:retry",
+                        g, "retry", f"{rnd.op}:retry",
                         rnd.t_end - rnd.retry_seconds, rnd.t_end,
                         attempts=rnd.retries,
                     )
-            rnd.claimed += 1
-            if rnd.claimed == self.size:
-                del self._rounds[seq]
-            return result
+            else:
+                tracer.annotate(
+                    g, "comm_stream", rnd.op, rnd.t_start, rnd.t_end,
+                    wire_bytes=rnd.wire_bytes, group_size=self.size,
+                    retries=rnd.retries, primary=(local == 0),
+                    algo=rnd.algorithm, **rnd.trace_extra,
+                )
 
     # ------------------------------------------------------------------
 
@@ -435,7 +516,6 @@ class ProcessGroup:
         if injector is not None:
             injector.check_time_crash(my_global_rank, clock.time)
 
-        san = self.runtime.sanitizer
         if spec is not None:
             spec.seq = self._seq[my_global_rank]
 
@@ -458,90 +538,8 @@ class ProcessGroup:
             if cap is not None:
                 cap.record_member(my_global_rank, self, seq, "ic")
             if not rnd.done and len(rnd.payloads) == self.size:
-                self._finalize_async(rnd, seq, finalize)
+                self._complete_round(rnd, seq, finalize, blocking=False)
             return AsyncCollectiveHandle(self, seq, me, my_global_rank, spec)
-
-    def _finalize_async(self, rnd: _Round, seq: int, finalize: FinalizeFn) -> None:
-        """Finalize a nonblocking round (lock held, last issuer's thread)."""
-        runtime = self.runtime
-        injector = runtime.fault_injector
-        san = runtime.sanitizer
-        tracer = runtime.tracer
-        race_token = None
-        try:
-            if san is not None:
-                san.verify_round(self, seq, rnd.specs)
-                race_token = san.race_acquire(self, rnd.payloads)
-            results, cost, op, itemsize = finalize(rnd.payloads)
-            failures, permanent = 0, False
-            retry_seconds = 0.0
-            if injector is not None:
-                failures, permanent = injector.collective_verdict(
-                    op, self.ranks, seq
-                )
-                if (failures or permanent) and san is not None:
-                    san.note_injected_glitch(op, self.ranks, failures, permanent)
-                if permanent:
-                    failures = runtime.retry_policy.max_retries + 1
-                if failures:
-                    policy = runtime.retry_policy
-                    for a in range(1, failures + 1):
-                        retry_seconds += cost.seconds + policy.backoff(a)
-                    self.counters.record_retry(
-                        op,
-                        failures * cost.wire_bytes,
-                        failures * cost.wire_elements(itemsize),
-                        attempts=failures,
-                    )
-            t_start = max(rnd.entry_times.values())
-            if self.async_tail > t_start:
-                t_start = self.async_tail
-            if permanent:
-                t_end = t_start + retry_seconds
-            else:
-                t_end = t_start + cost.seconds + retry_seconds
-            self.async_tail = t_end
-            for g in self.ranks:
-                runtime.comm_streams[g].occupy(t_start, t_end)
-            if permanent:
-                raise CollectiveTimeout(op, self.ranks, attempts=failures)
-            if cost.wire_bytes:
-                self.counters.record(
-                    op, cost.wire_bytes, cost.wire_elements(itemsize),
-                    algorithm=cost.algorithm,
-                )
-            if san is not None:
-                rnd.trace_extra = san.finish_round(
-                    self, seq, rnd.specs, rnd.payloads, results, race_token,
-                )
-                race_token = None  # released by finish_round
-            rnd.algorithm = cost.algorithm
-            rnd.op = op
-            rnd.t_start = t_start
-            rnd.t_end = t_end
-            rnd.wire_bytes = cost.wire_bytes
-            rnd.retries = failures
-            rnd.retry_seconds = retry_seconds
-            rnd.results = results
-            cap = runtime.capture
-            if cap is not None:
-                cap.record_round(
-                    self, seq, "async", cost, op, itemsize, rnd.payloads
-                )
-            if tracer is not None:
-                for local, g in enumerate(self.ranks):
-                    tracer.annotate(
-                        g, "comm_stream", op, t_start, t_end,
-                        wire_bytes=cost.wire_bytes, group_size=self.size,
-                        retries=failures, primary=(local == 0),
-                        algo=cost.algorithm, **rnd.trace_extra,
-                    )
-        except BaseException as exc:  # propagate to every waiter
-            if race_token is not None:
-                san.race_release(race_token)
-            rnd.error = exc
-        rnd.done = True
-        self._cond.notify_all()
 
 
 class AsyncCollectiveHandle(WorkHandle):

@@ -10,6 +10,12 @@ Failure handling: if any rank raises, the runtime trips an abort flag that
 every blocking communication primitive polls; all other ranks then raise
 :class:`SpmdAborted`, threads are joined and the original exception is
 re-raised on the launcher thread wrapped in :class:`RemoteRankError`.
+
+``SpmdRuntime.run_collapsed(fn)`` is the one-thread variant for programs
+whose ranks are symmetric and that drive every rank's clock themselves (a
+serving replica prices its tensor-parallel all-reduce for all members in
+one :meth:`~repro.comm.group.ProcessGroup.rendezvous_members` call).  It
+shares ``run``'s per-run set-up, checks and error reporting.
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ import numpy as np
 
 from repro.cluster.machine import ClusterSpec
 from repro.runtime.clock import SimClock, StreamClock
-from repro.runtime.errors import CollectiveTimeout, RemoteRankError, SpmdAborted
+from repro.runtime.errors import (
+    CollectiveTimeout, RankFailure, RemoteRankError, SpmdAborted,
+)
 from repro.utils.backoff import RetryPolicy
 
 _thread_local = threading.local()
@@ -330,20 +338,7 @@ class SpmdRuntime:
         ``materialize=False`` runs the program in spec mode: tensors carry
         shapes/bytes but no data (used for billion-parameter experiments).
         """
-        if reset_clocks:
-            for c in self.clocks:
-                c.reset()
-            for s in self.comm_streams:
-                s.reset()
-        self._reset_comm_state()
-        if self.fault_injector is not None:
-            self.fault_injector.install(self)
-        if self.sanitizer is not None:
-            self.sanitizer.begin_run(self)
-        if self.capture is not None:
-            self.capture.begin_run(self)
-        self._abort.clear()
-        self.failure = None
+        self._begin_run(reset_clocks)
 
         results: List[Any] = [None] * self.world_size
         errors: List[Optional[BaseException]] = [None] * self.world_size
@@ -363,11 +358,7 @@ class SpmdRuntime:
             except BaseException as exc:  # noqa: BLE001 - must propagate anything
                 errors[rank] = exc
                 self.signal_failure(rank, exc)
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        rank, f"rank{rank}:failed", ctx.clock.time,
-                        error=type(exc).__name__,
-                    )
+                self._trace_failure(rank, exc)
             finally:
                 if self.sanitizer is not None:
                     self.sanitizer.on_rank_done(rank)
@@ -385,6 +376,86 @@ class SpmdRuntime:
         for t in threads:
             t.join()
 
+        if self.failure is not None:
+            # a failed collective round raises one error object on every
+            # member; attribute it to the lowest of them, not to whichever
+            # thread reported first
+            cause = self.failure[1]
+            self.failure = (
+                next(r for r, e in enumerate(errors) if e is cause), cause)
+        self._end_run()
+        return results
+
+    def run_collapsed(
+        self,
+        fn: Callable[..., Any],
+        *args: Any,
+        materialize: bool = True,
+        seed: int = 0,
+        reset_clocks: bool = True,
+        **kwargs: Any,
+    ) -> Any:
+        """Run ``fn(ctx, *args, **kwargs)`` once, on the calling thread, for
+        programs whose ranks are symmetric and that drive every rank's clock
+        themselves (one serving replica); return its result.
+
+        ``ctx`` is rank 0's :class:`RankContext`, installed for the call so
+        :func:`current_rank_context` and :func:`in_spmd` hold.  The run
+        shares :meth:`run`'s per-run set-up and checks, and emits every
+        rank's ``rank`` span.  An error raises the same
+        :class:`RemoteRankError`: a :class:`RankFailure` is attributed to
+        the rank it names, anything else to rank 0.
+        """
+        self._begin_run(reset_clocks)
+        t_starts = [c.time for c in self.clocks]
+        ctx = RankContext(self, 0, materialize, seed=seed * 100003)
+        outer = getattr(_thread_local, "ctx", None)
+        _thread_local.ctx = ctx
+        result = None
+        try:
+            result = fn(ctx, *args, **kwargs)
+            if self.tracer is not None:
+                for rank, clock in enumerate(self.clocks):
+                    self.tracer.annotate(
+                        rank, "rank", f"rank{rank}", t_starts[rank], clock.time
+                    )
+        except BaseException as exc:  # noqa: BLE001 - must propagate anything
+            rank = exc.rank if isinstance(exc, RankFailure) else 0
+            self.signal_failure(rank, exc)
+            self._trace_failure(rank, exc)
+        finally:
+            _thread_local.ctx = outer
+        self._end_run()
+        return result
+
+    def _begin_run(self, reset_clocks: bool) -> None:
+        """Per-run set-up shared by :meth:`run` and :meth:`run_collapsed`."""
+        if reset_clocks:
+            for c in self.clocks:
+                c.reset()
+            for s in self.comm_streams:
+                s.reset()
+        self._reset_comm_state()
+        if self.fault_injector is not None:
+            self.fault_injector.install(self)
+        if self.sanitizer is not None:
+            self.sanitizer.begin_run(self)
+        if self.capture is not None:
+            self.capture.begin_run(self)
+        self._abort.clear()
+        self.failure = None
+
+    def _trace_failure(self, rank: int, exc: BaseException) -> None:
+        if self.tracer is not None:
+            self.tracer.instant(
+                rank, f"rank{rank}:failed", self.clocks[rank].time,
+                error=type(exc).__name__,
+            )
+
+    def _end_run(self) -> None:
+        """Per-run checks shared by :meth:`run` and :meth:`run_collapsed`:
+        the sanitizer's verdict, the primary failure re-raised on the
+        launcher thread, the buffer-pool leak check and the capture."""
         if self.sanitizer is not None:
             # on a clean replayed run, a golden stream the program stopped
             # short of is itself a divergence and raises here
@@ -398,7 +469,6 @@ class SpmdRuntime:
             self.buffer_pool.check_leaks()
         if self.capture is not None:
             self.capture.end_run(self)
-        return results
 
     def _reset_comm_state(self) -> None:
         """Drop stale rendezvous rounds and undelivered messages so the

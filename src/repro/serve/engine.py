@@ -1,15 +1,18 @@
 """The tensor-parallel serving engine on the simulated SPMD substrate.
 
-Every rank of the runtime is one member of a single TP replica.  All
-ranks run the same loop in lockstep: each iteration prices one model
-step (prefill chunks + one decode token per running sequence) on the
-rank's device clock, then runs one fused tensor-parallel all-reduce of
-the step's activations through a real :class:`ProcessGroup` — so decode
-latency carries the PR-3 comm cost model (algorithm, topology, islands)
-and the blocking rendezvous re-synchronizes every rank's clock, which is
-what keeps the per-rank schedulers bit-identical without any side
-channel: every scheduling decision is a pure function of the synced
-clock, the queue and the seed.
+Every rank of the runtime is one member of a single TP replica.  Its
+members run identical programs, so the replica runs once, on one thread
+(:meth:`SpmdRuntime.run_collapsed`): one continuous-batching scheduler
+and one paged KV block pool serve every member.  Each iteration prices
+one model step (prefill chunks + one decode token per running sequence)
+on every member's device clock, then runs one fused tensor-parallel
+all-reduce of the step's activations as a single
+:meth:`ProcessGroup.rendezvous_members` round for all members — so
+decode latency carries the comm cost model (algorithm, topology,
+islands), fault verdicts, counters, sanitizer and trace spans exactly as
+a threaded blocking rendezvous would, and the round re-synchronizes
+every member's clock.  Every scheduling decision is a pure function of
+the synced clock, the queue and the seed.
 
 Step cost is the max of a compute term (``2 * params / tp`` FLOPs per
 token through ``Device.compute_seconds``) and a memory term (one weight
@@ -17,14 +20,16 @@ read per step plus the KV context read at ``ModelSpec.hbm_bandwidth``).
 The weight read amortizes over the batch — that is the continuous
 batching win the goodput curves show.
 
-Fault tolerance: an injected :class:`RankFailure` surfaces mid-collective,
-aborts the replica, and the driver loop in :meth:`ServeEngine.run`
-records a typed :class:`FailureEvent`, charges ``recovery_seconds`` of
-downtime to every clock, rebuilds the outstanding workload from the
-completion records (``traffic.outstanding``) and re-runs — in-flight
-requests lose their KV and replay from scratch, so rank loss shows up in
-the report as a p99/goodput hit, not a crash.  Completion records are
-written by rank 0 only (all ranks agree on them anyway) into a
+Fault tolerance: an injected :class:`RankFailure` surfaces at the
+all-reduce (members are checked in local-rank order), aborts the
+replica, and the driver loop in :meth:`ServeEngine.run` records a typed
+:class:`FailureEvent`, charges ``recovery_seconds`` of downtime to every
+clock, rebuilds the outstanding workload from the completion records
+(``traffic.outstanding``) and re-runs — in-flight requests lose their KV
+and replay from scratch, so rank loss shows up in the report as a
+p99/goodput hit, not a crash.  A crash is attributed to the crashed
+rank; an error of the whole round (a permanent ``blackout`` timeout) to
+local rank 0, the replica's lead.  Completion records go into a
 driver-owned dict that survives restarts.
 """
 
@@ -136,11 +141,11 @@ class ServeEngine:
         failures: List[FailureEvent] = []
         restarts = 0
         while True:
-            program = self._rank_program(dict(records), records)
             try:
-                self.runtime.run(program, materialize=False,
-                                 reset_clocks=(restarts == 0),
-                                 seed=self.gen_seed)
+                self.runtime.run_collapsed(
+                    self._replica, dict(records), records,
+                    materialize=False, reset_clocks=(restarts == 0),
+                    seed=self.gen_seed)
                 break
             except RemoteRankError as err:
                 if not isinstance(err.cause, (RankFailure, CollectiveTimeout)):
@@ -164,14 +169,17 @@ class ServeEngine:
             failures=failures,
         )
 
-    # -- per-rank program ------------------------------------------------
+    # -- the replica -----------------------------------------------------
 
-    def _num_blocks(self, device: Any, tp: int) -> int:
+    def _num_blocks(self, devices: List[Any], tp: int) -> int:
+        """``kv_blocks``, or the most blocks every member's free memory
+        holds: one pool serves the whole replica, so its smallest budget
+        bounds it."""
         if self.kv_blocks is not None:
             return self.kv_blocks
         bytes_per_block = (
             self.model.kv_bytes_per_token(tp) * self.block_size)
-        budget = int(device.memory.free * self.kv_fraction)
+        budget = min(int(d.memory.free * self.kv_fraction) for d in devices)
         blocks = budget // max(1, bytes_per_block)
         if blocks < 1:
             raise ValueError(
@@ -179,82 +187,72 @@ class ServeEngine:
                 f"(budget={budget}B, block={bytes_per_block}B)")
         return blocks
 
-    def _rank_program(self, snapshot: Dict[int, RequestRecord],
-                      records: Dict[int, RequestRecord]):
+    def _replica(self, ctx: Any, snapshot: Dict[int, RequestRecord],
+                 records: Dict[int, RequestRecord]) -> None:
+        """Serve the outstanding requests on the whole replica.  Runs
+        once, on one thread: one scheduler and one block pool for all TP
+        members."""
         model, traffic = self.model, self.traffic
+        runtime = ctx.runtime
+        tp = runtime.world_size
+        devices = [runtime.cluster.device(r) for r in range(tp)]
+        clocks = runtime.clocks
+        clock = clocks[0]
+        comm = Communicator(runtime.world_group, 0) if tp > 1 else None
+        pool = BlockPool(
+            self.block_size, self._num_blocks(devices, tp),
+            memories=[d.memory for d in devices],
+            bytes_per_block=model.kv_bytes_per_token(tp) * self.block_size)
+        try:
+            tracer = runtime.tracer
+            sched = ContinuousBatchingScheduler(
+                pool, self.max_batch_tokens, prefill_chunk=self.prefill_chunk,
+                gen_seed=self.gen_seed, vocab=model.vocab)
+            for req in sorted(traffic.outstanding(snapshot),
+                              key=lambda r: (r.arrival, r.req_id)):
+                sched.submit(req)
 
-        def program(ctx: Any) -> int:
-            tp = ctx.world_size
-            comm = Communicator.world(ctx) if tp > 1 else None
-            bytes_per_block = model.kv_bytes_per_token(tp) * self.block_size
-            pool = BlockPool(
-                self.block_size, self._num_blocks(ctx.device, tp),
-                memory=ctx.device.memory, bytes_per_block=bytes_per_block)
-            try:
-                return self._serve_loop(
-                    ctx, comm, pool, snapshot, records, traffic)
-            finally:
-                pool.release()
+            while True:
+                # every member's clock is equal here: the all-reduce and
+                # the idle sync below leave them all at the same time
+                now = clock.time
+                plan = sched.step(now)
+                if plan.empty and not plan.preempted:
+                    nxt = sched.next_arrival()
+                    if nxt is None:
+                        break  # drained
+                    for c in clocks:
+                        c.sync_to(max(nxt, now), "wait")
+                    continue
 
-        return program
+                new_tokens = plan.new_tokens
+                if new_tokens > 0:
+                    for device, c in zip(devices, clocks):
+                        c.advance(model.step_seconds(
+                            device, new_tokens, plan.context_tokens, tp),
+                            "compute")
+                    if comm is not None:
+                        # fused TP all-reduce of the step's activations,
+                        # priced for every member in one round; it is also
+                        # the clock barrier that lets one schedule serve
+                        # every member
+                        x = SpecArray(
+                            (new_tokens, model.wire_elems_per_token()),
+                            "float16")
+                        comm.all_reduce_members([x] * tp)
 
-    def _serve_loop(self, ctx: Any, comm: Optional[Communicator],
-                    pool: BlockPool, snapshot: Dict[int, RequestRecord],
-                    records: Dict[int, RequestRecord], traffic: Any) -> int:
-        model = self.model
-        tp = ctx.world_size
-        tracer = getattr(ctx.runtime, "tracer", None)
-        lead = ctx.rank == 0
-        sched = ContinuousBatchingScheduler(
-            pool, self.max_batch_tokens, prefill_chunk=self.prefill_chunk,
-            gen_seed=self.gen_seed, vocab=model.vocab)
-        for req in sorted(traffic.outstanding(snapshot),
-                          key=lambda r: (r.arrival, r.req_id)):
-            sched.submit(req)
+                t = clock.time
+                finished, prefilled = sched.apply(plan, t)
 
-        steps = 0
-        while True:
-            now = ctx.clock.time
-            plan = sched.step(now)
-            if plan.empty and not plan.preempted:
-                nxt = sched.next_arrival()
-                if nxt is None:
-                    break  # drained
-                ctx.clock.sync_to(max(nxt, now), "wait")
-                continue
-
-            new_tokens = plan.new_tokens
-            if new_tokens > 0:
-                dt = model.step_seconds(
-                    ctx.device, new_tokens, plan.context_tokens, tp)
-                ctx.clock.advance(dt, "compute")
-                if comm is not None:
-                    # fused TP all-reduce of the step's activations; the
-                    # blocking rendezvous is also the clock barrier that
-                    # keeps per-rank schedulers in lockstep
-                    comm.all_reduce(SpecArray(
-                        (new_tokens, model.wire_elems_per_token()),
-                        "float16"))
-                steps += 1
-
-            t = ctx.clock.time
-            finished, prefilled = sched.apply(plan, t)
-
-            if lead and tracer is not None:
-                self._emit_spans(tracer, plan, finished, prefilled, now, t)
-            for req in plan.failed:
-                if lead:
+                if tracer is not None:
+                    self._emit_spans(tracer, plan, finished, prefilled, now, t)
+                for req in plan.failed + finished:
                     records[req.req_id] = req.record()
-                nxt_req = traffic.next_request(req, t)
-                if nxt_req is not None:
-                    sched.submit(nxt_req)
-            for req in finished:
-                if lead:
-                    records[req.req_id] = req.record()
-                nxt_req = traffic.next_request(req, t)
-                if nxt_req is not None:
-                    sched.submit(nxt_req)
-        return steps
+                    nxt_req = traffic.next_request(req, t)
+                    if nxt_req is not None:
+                        sched.submit(nxt_req)
+        finally:
+            pool.release()
 
     @staticmethod
     def _emit_spans(tracer: Any, plan: Any, finished: List[Request],

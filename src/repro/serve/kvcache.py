@@ -1,8 +1,9 @@
 """Paged KV-cache: fixed-size token blocks over a cluster memory pool.
 
 The serving engine never allocates per-token KV storage; it reserves one
-arena of ``num_blocks * bytes_per_block`` from the rank's
-:class:`~repro.cluster.device.MemoryPool` (tag ``"kv_cache"``) up front —
+arena of ``num_blocks * bytes_per_block`` from each tensor-parallel
+member's :class:`~repro.cluster.device.MemoryPool` (tag ``"kv_cache"``;
+each member holds its shard of every block) up front —
 the vLLM discipline — and pages sequences into fixed-size *blocks* of
 ``block_size`` token slots each.  Every sequence owns a *block table*
 (ordered block ids); appending a token only touches the pool when the
@@ -23,7 +24,7 @@ times — no block is double-owned, none leaks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
 class KVCacheError(RuntimeError):
@@ -58,15 +59,17 @@ class RequestTooLarge(KVCacheError):
 class BlockPool:
     """Fixed-size KV block allocator with per-sequence block tables.
 
-    ``memory`` (a :class:`~repro.cluster.device.MemoryPool`) is optional:
-    when given, the arena is charged against it at construction (a
-    ``DeviceOutOfMemoryError`` there means the configuration is wrong,
-    not that traffic got unlucky) and returned by :meth:`release`.
-    Standalone pools (``memory=None``) back the property-test lane.
+    ``memories`` (:class:`~repro.cluster.device.MemoryPool` objects, one
+    per tensor-parallel member, each holding its own shard of every block)
+    is optional: the arena is charged against every pool at construction
+    (a ``DeviceOutOfMemoryError`` there means the configuration is wrong,
+    not that traffic got unlucky; no pool stays charged) and returned by
+    :meth:`release`.  Standalone pools (no ``memories``) back the
+    property-test lane.
     """
 
     def __init__(self, block_size: int, num_blocks: int,
-                 memory: Optional[object] = None,
+                 memories: Sequence[Any] = (),
                  bytes_per_block: int = 0,
                  tag: str = "kv_cache") -> None:
         if block_size < 1:
@@ -76,15 +79,22 @@ class BlockPool:
         self.block_size = int(block_size)
         self.num_blocks = int(num_blocks)
         self.bytes_per_block = int(bytes_per_block)
-        self._memory = memory
+        self._memories = tuple(memories)
         self._tag = tag
         self._arena_bytes = 0
-        if memory is not None:
+        if self._memories:
             if bytes_per_block < 1:
                 raise ValueError(
                     "bytes_per_block must be >= 1 when memory-backed")
-            self._arena_bytes = self.num_blocks * self.bytes_per_block
-            memory.alloc(self._arena_bytes, tag=tag)
+            arena = self.num_blocks * self.bytes_per_block
+            for i, mem in enumerate(self._memories):
+                try:
+                    mem.alloc(arena, tag=tag)
+                except BaseException:
+                    for charged in self._memories[:i]:
+                        charged.free_bytes(arena, tag=tag)
+                    raise
+            self._arena_bytes = arena
         # LIFO free stack: deterministic reuse order
         self._free: List[int] = list(range(self.num_blocks - 1, -1, -1))
         self._tables: Dict[int, List[int]] = {}
@@ -149,9 +159,10 @@ class BlockPool:
         return len(table)
 
     def release(self) -> None:
-        """Hand the arena back to the cluster memory pool (idempotent)."""
-        if self._memory is not None and self._arena_bytes:
-            self._memory.free_bytes(self._arena_bytes, tag=self._tag)
+        """Hand the arena back to the cluster memory pools (idempotent)."""
+        if self._arena_bytes:
+            for mem in self._memories:
+                mem.free_bytes(self._arena_bytes, tag=self._tag)
             self._arena_bytes = 0
 
     # -- introspection (the property-test surface) -----------------------

@@ -242,6 +242,13 @@ class TestDeterminism:
         assert a.config == b.config
 
 
+class TestCompileErrors:
+    def test_world_larger_than_cluster_is_typed(self):
+        with pytest.raises(ValueError, match=r"world_size 16 exceeds "
+                                             r"cluster size 8"):
+            compile_strategy(uniform_cluster(8), WORK, 128, world_size=16)
+
+
 # -- prediction-vs-simulation parity (acceptance grid) ----------------------
 
 

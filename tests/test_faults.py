@@ -169,6 +169,21 @@ class TestBlackoutAndCrash:
                   rt.retry_policy.max_retries + 1)
         assert res == [expect] * 4
 
+    def test_blackout_failure_attributed_to_lowest_member(self, fault_seed):
+        """Every member raises the same round error; the run reports the
+        lowest of them, whichever thread got there first."""
+        plan = FaultPlan(seed=fault_seed).blackout(op="all_reduce")
+
+        def prog(ctx):
+            Communicator.world(ctx).all_reduce(np.ones(4, dtype=np.float32))
+
+        rt = SpmdRuntime(uniform_cluster(4), fault_plan=plan)
+        for _ in range(5):
+            with pytest.raises(RemoteRankError) as ei:
+                rt.run(prog)
+            assert ei.value.rank == 0
+            assert isinstance(ei.value.cause, CollectiveTimeout)
+
     def test_crash_at_time_aborts_with_rank_failure(self, fault_seed):
         plan = FaultPlan(seed=fault_seed).crash(rank=2, at_time=1e-4)
 

@@ -28,11 +28,15 @@ import repro
 from repro.cluster import uniform_cluster
 from repro.cluster.device import DeviceOutOfMemoryError, MemoryPool
 from repro.faults import FaultPlan
+from repro.runtime import SpmdRuntime
+from repro.runtime.errors import RemoteRankError
+from repro.sanitize import CommSanitizer, ReplayDivergence
 from repro.serve import (
     BlockPool,
     CacheExhausted,
     ClosedLoopTraffic,
     ContinuousBatchingScheduler,
+    FailureEvent,
     ModelSpec,
     OpenLoopTraffic,
     Request,
@@ -104,20 +108,27 @@ class TestBlockPool:
         pool.check_consistent()
 
     def test_memory_backed_arena_charge_and_release(self):
-        mem = MemoryPool(capacity=1024)
-        pool = BlockPool(block_size=4, num_blocks=8, memory=mem,
+        mems = [MemoryPool(capacity=1024), MemoryPool(capacity=2048)]
+        pool = BlockPool(block_size=4, num_blocks=8, memories=mems,
                          bytes_per_block=64)
-        assert mem.allocated == 512
+        assert [m.allocated for m in mems] == [512, 512]
         pool.release()
-        assert mem.allocated == 0
+        assert [m.allocated for m in mems] == [0, 0]
         pool.release()  # idempotent
-        assert mem.allocated == 0
+        assert [m.allocated for m in mems] == [0, 0]
 
     def test_memory_backed_arena_oom_at_init(self):
         mem = MemoryPool(capacity=100)
         with pytest.raises(DeviceOutOfMemoryError):
-            BlockPool(block_size=4, num_blocks=8, memory=mem,
+            BlockPool(block_size=4, num_blocks=8, memories=[mem],
                       bytes_per_block=64)
+
+    def test_arena_oom_on_one_member_charges_none(self):
+        mems = [MemoryPool(capacity=1024), MemoryPool(capacity=100)]
+        with pytest.raises(DeviceOutOfMemoryError):
+            BlockPool(block_size=4, num_blocks=8, memories=mems,
+                      bytes_per_block=64)
+        assert [m.allocated for m in mems] == [0, 0]
 
     @given(
         block_size=st.integers(1, 6),
@@ -393,6 +404,56 @@ class TestServeEngine:
         for rank in range(2):
             assert cluster.device(rank).memory.allocated == 0
 
+    def test_kv_pool_sized_by_the_member_with_least_free_memory(self):
+        # 4 KiB blocks (block_size 4 at TP2); this fraction of a 16 GiB
+        # device holds 20 of them, and of a half-full one 10
+        frac = 5e-6
+        cluster = uniform_cluster(2)
+        other = cluster.device(1).memory
+        other.alloc(other.capacity // 2, tag="other")
+        rep = serve_traffic(SMALL_MODEL, _open(), cluster=cluster,
+                            world_size=2, kv_fraction=frac, block_size=4)
+        assert rep.n_completed == 24
+        assert cluster.device(0).memory.allocated == 0
+        assert other.allocated == other.capacity // 2
+        smallest = serve_traffic(SMALL_MODEL, _open(), world_size=2,
+                                 kv_blocks=10, block_size=4)
+        largest = serve_traffic(SMALL_MODEL, _open(), world_size=2,
+                                kv_blocks=20, block_size=4)
+        assert rep.to_dict() == smallest.to_dict() != largest.to_dict()
+
+    def test_sanitizer_checks_every_member_of_every_round(self):
+        base = serve_traffic(SMALL_MODEL, _open(n=12), world_size=4)
+        rt = SpmdRuntime(uniform_cluster(4), 4, sanitize=True)
+        rep = serve_traffic(SMALL_MODEL, _open(n=12), runtime=rt)
+        assert rep.to_dict() == base.to_dict()
+        rounds = rt.world_group.counters.calls_total
+        assert rounds > 0 and rt.sanitizer.rounds_checked == rounds
+        assert {r: len(s) for r, s in rt.sanitizer.streams().items()} == {
+            r: rounds for r in range(4)}
+
+    def test_sanitizer_replay_divergence_surfaces(self):
+        rec = SpmdRuntime(uniform_cluster(2), 2, sanitize=True)
+        serve_traffic(SMALL_MODEL, _open(n=12, seed=7), runtime=rec)
+        golden = rec.sanitizer.golden()
+        rt = SpmdRuntime(uniform_cluster(2), 2,
+                         sanitize=CommSanitizer(replay=golden))
+        with pytest.raises(RemoteRankError) as info:
+            serve_traffic(SMALL_MODEL, _open(n=12, seed=8), runtime=rt)
+        assert isinstance(info.value.cause, ReplayDivergence)
+
+    def test_capture_records_every_member_of_every_round(self):
+        from repro.project import CaptureRecorder
+
+        rec = CaptureRecorder()
+        rt = SpmdRuntime(uniform_cluster(4), 4, capture=rec)
+        serve_traffic(SMALL_MODEL, _open(n=12), runtime=rt)
+        trace = rec.trace()
+        rounds = rt.world_group.counters.calls_total
+        assert rounds > 0 and len(trace.rounds) == rounds
+        assert [sum(1 for ev in stream if ev[0] == "c")
+                for stream in trace.streams] == [rounds] * 4
+
 
 # ---------------------------------------------------------------------------
 # Chaos x serving: rank loss mid-request is an SLO event, not a crash
@@ -441,8 +502,42 @@ class TestServingUnderFaults:
         assert faulty.n_completed == 16
         assert {f.kind for f in faulty.failures} == {"RankFailure"}
 
+    def test_blackout_attributed_to_the_replica_lead(self, monkeypatch):
+        """A permanent collective timeout fails the whole round; it is
+        attributed to local rank 0 of the TP group, the same on every run,
+        and a crash stays on the crashed rank."""
+        from repro.serve import engine as serve_engine
+
+        def failure_events(plan):
+            events = []
+
+            def record(**kw):
+                events.append(FailureEvent(**kw))
+                return events[-1]
+
+            monkeypatch.setattr(serve_engine, "FailureEvent", record)
+            with pytest.raises(RemoteRankError) as info:
+                serve_traffic(SMALL_MODEL, _open(n=8), world_size=4,
+                              fault_plan=plan, max_recoveries=3,
+                              recovery_seconds=0.001)
+            events.append((info.value.rank, type(info.value.cause).__name__))
+            return events
+
+        blackout = failure_events(FaultPlan(seed=4).blackout(op="all_reduce"))
+        assert blackout == failure_events(
+            FaultPlan(seed=4).blackout(op="all_reduce"))
+        assert len(blackout) == 4
+        assert [e.rank for e in blackout[:3]] == [0, 0, 0]
+        assert {e.kind for e in blackout[:3]} == {"CollectiveTimeout"}
+        assert blackout[3] == (0, "CollectiveTimeout")
+
+        plan = FaultPlan(seed=4).crash(3, at_time=1e-6)
+        rep = serve_traffic(SMALL_MODEL, _open(n=8), world_size=4,
+                            fault_plan=plan, recovery_seconds=0.001)
+        assert [(f.rank, f.kind) for f in rep.failures] == [
+            (3, "RankFailure")]
+
     def test_recovery_budget_exhaustion_reraises(self):
-        from repro.runtime.errors import RemoteRankError
         traffic = _open(rate=2000.0, n=16, seed=9)
         plan = FaultPlan(seed=3).crash(1, at_time=1e-6)
         with pytest.raises(RemoteRankError):
