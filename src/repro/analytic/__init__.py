@@ -25,7 +25,6 @@ from repro.analytic.perf_model import (
     overlap_exposed_seconds,
     transformer_layer_flops,
     training_flops_per_token,
-    zero_step_comm_time,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "model_data_bytes_per_rank",
     "overlap_exposed_seconds",
     "zero_partitioned_bytes",
-    "zero_step_comm_time",
 ]

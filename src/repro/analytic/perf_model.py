@@ -22,40 +22,6 @@ def training_flops_per_token(n_params: int) -> float:
     return 6.0 * n_params
 
 
-def zero_step_comm_time(
-    cluster,
-    ranks: Sequence[int],
-    grad_bytes: int,
-    param_bytes: int = 0,
-    stage: int = 0,
-    algorithm: str = "auto",
-) -> Tuple[float, str]:
-    """Analytic per-step gradient-synchronization time over ``ranks`` under
-    a ZeRO ``stage`` (seconds), plus the algorithm label that priced the
-    dominant collective.
-
-    * stage 0 — one gradient all-reduce (``data_parallel_step_comm_time``);
-    * stage 1/2 — reduce-scatter of the gradients + all-gather of the
-      updated parameters (the same total volume an all-reduce moves, split
-      into the two phases chunk-based ZeRO actually issues);
-    * stage 3 — additionally re-gathers the partitioned parameters before
-      forward *and* backward (two extra all-gathers of ``param_bytes``).
-    """
-    from repro.comm.cost import CostModel  # deferred: comm builds on cluster
-
-    model = CostModel(cluster, algorithm=algorithm)
-    ranks = list(ranks)
-    if stage == 0 or len(ranks) <= 1:
-        cost = model.allreduce(ranks, int(grad_bytes))
-        return cost.seconds, cost.algorithm
-    rs = model.reduce_scatter(ranks, int(grad_bytes))
-    ag = model.allgather(ranks, int(param_bytes or grad_bytes) // len(ranks))
-    seconds = rs.seconds + ag.seconds
-    if stage >= 3 and param_bytes > 0:
-        seconds += 2 * model.allgather(ranks, int(param_bytes) // len(ranks)).seconds
-    return seconds, rs.algorithm
-
-
 def overlap_exposed_seconds(
     comm_seconds: float,
     backward_compute_seconds: float,

@@ -16,10 +16,6 @@ import numpy as np
 from repro.comm.payload import Payload, SpecArray, is_spec
 
 
-def spec_like(shape: Sequence[int], ref: Payload) -> SpecArray:
-    return SpecArray(tuple(shape), ref.dtype)
-
-
 def result_dtype(*payloads: Payload) -> np.dtype:
     first = payloads[0].dtype
     # promotion is the identity when every operand dtype already matches —
@@ -242,12 +238,6 @@ def pmax(a: Payload, axis=None, keepdims=False) -> Payload:
     if is_spec(a):
         return SpecArray(_reduced_shape(a.shape, axis, keepdims), a.dtype)
     return np.max(a, axis=axis, keepdims=keepdims)
-
-
-def pargmax(a: Payload, axis=-1):
-    if is_spec(a):
-        return SpecArray(_reduced_shape(a.shape, axis, False), np.dtype("int64"))
-    return np.argmax(a, axis=axis)
 
 
 # -- softmax family ------------------------------------------------------------------

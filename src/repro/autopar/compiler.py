@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.analytic.memory_model import zero_partitioned_bytes
-from repro.autopar.advisor import Workload
 from repro.autopar.probe import build_probe
 from repro.autopar.scoring import (
     CandidateScore,
@@ -45,6 +44,7 @@ from repro.autopar.scoring import (
 from repro.autopar.search import (
     SearchSpace,
     StrategyCandidate,
+    Workload,
     enumerate_candidates,
 )
 from repro.cluster.machine import ClusterSpec
@@ -296,7 +296,10 @@ def compile_strategy(
     on :meth:`StrategyCandidate.sort_key`.  Raises ``ValueError`` when
     ``world_size`` exceeds the cluster or no candidate fits device memory
     (the report text is in the message)."""
-    work = workload if isinstance(workload, Workload) else Workload(**workload)
+    work = (
+        workload if isinstance(workload, Workload)
+        else Workload.from_dict(workload)
+    )
     world = world_size or cluster.world_size
     if world > cluster.world_size:
         raise ValueError(

@@ -18,12 +18,75 @@ stage's job (:mod:`repro.autopar.scoring`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Sequence, Tuple
-
-from repro.autopar.advisor import Workload, _tensor_modes
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 PIPELINE_SCHEDULES = ("gpipe", "1f1b")
+
+
+@dataclass(frozen=True)
+class Workload:
+    """A Transformer training workload.
+
+    Every field is a size and must be a positive int; anything else raises
+    ``ValueError`` naming the field, so a nonsense workload never compiles
+    into a plan."""
+
+    n_layers: int
+    hidden: int
+    n_heads: int
+    seq_len: int
+    mlp_ratio: int = 4
+    bytes_per_elem: int = 2  # fp16
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                raise ValueError(
+                    f"Workload.{f.name} must be a positive int, got {v!r}"
+                )
+
+    @classmethod
+    def from_dict(
+        cls, d: Mapping[str, Any], where: str = "workload"
+    ) -> "Workload":
+        """Build a workload from a config mapping.  Unknown or missing keys
+        raise ``ValueError`` naming them (``where`` prefixes the message)
+        instead of a bare ``TypeError`` from the constructor."""
+        names = [f.name for f in fields(cls)]
+        unknown = set(d) - set(names)
+        if unknown:
+            raise ValueError(
+                f"{where} has unknown key(s) {sorted(unknown)}; "
+                f"valid: {names}"
+            )
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
+        if missing:
+            raise ValueError(
+                f"{where} missing required key(s) {sorted(missing)}"
+            )
+        return cls(**d)
+
+
+def _tensor_modes(size: int) -> List[Tuple[str, int]]:
+    """Valid (mode, depth) choices for a tensor group of ``size``."""
+    if size == 1:
+        return [("1d", 1)]
+    modes: List[Tuple[str, int]] = [("1d", 1)]
+    j = math.isqrt(size)
+    if j * j == size:
+        modes.append(("2d", 1))
+    for d in range(1, size + 1):
+        if size % d:
+            continue
+        k = math.isqrt(size // d)
+        if k * k * d == size and d > 1 and k >= 2:
+            modes.append(("2.5d", d))
+    l = round(size ** (1 / 3))
+    if l**3 == size and l >= 2:
+        modes.append(("3d", 1))
+    return modes
 
 
 @dataclass(frozen=True)
@@ -152,7 +215,7 @@ def enumerate_candidates(
     Structural constraints applied here (cheap, no cost model):
 
     * ``data * tensor * pipeline == world`` with each tensor mode's rank
-      count constraint (:func:`repro.autopar.advisor._tensor_modes`);
+      count constraint (:func:`_tensor_modes`);
     * 1D/sequence modes need ``n_heads % tensor == 0``;
     * ``pipeline <= n_layers`` (a stage must own at least one layer);
     * ``global_batch`` divisible by ``data * microbatches`` (equal

@@ -97,14 +97,6 @@ def is_spec(x: Payload) -> bool:
     return isinstance(x, SpecArray)
 
 
-def payload_nbytes(x: Payload) -> int:
-    return int(x.nbytes)
-
-
-def payload_elements(x: Payload) -> int:
-    return int(x.size)
-
-
 def like(x: Payload, shape: Tuple[int, ...]) -> SpecArray:
     """A SpecArray with ``shape`` and ``x``'s dtype."""
     return SpecArray(shape, x.dtype)

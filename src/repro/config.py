@@ -252,13 +252,9 @@ class AutoParConfig:
                 "autopar.workload must be a mapping describing the model "
                 "(n_layers, hidden, n_heads, seq_len, ...)"
             )
-        missing = {"n_layers", "hidden", "n_heads", "seq_len"} - set(
-            self.workload
-        )
-        if missing:
-            raise ValueError(
-                f"autopar.workload missing required key(s) {sorted(missing)}"
-            )
+        from repro.autopar.search import Workload  # autopar imports config
+
+        Workload.from_dict(self.workload, where="autopar.workload")
         if self.global_batch is not None and self.global_batch < 1:
             raise ValueError(
                 f"autopar.global_batch must be >= 1, got {self.global_batch}"

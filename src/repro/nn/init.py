@@ -60,15 +60,6 @@ def xavier_uniform(gain: float = 1.0) -> InitFn:
     return fn
 
 
-def xavier_normal(gain: float = 1.0) -> InitFn:
-    def fn(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        fan_in, fan_out = _fan(shape)
-        std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-        return rng.standard_normal(shape) * std
-
-    return fn
-
-
 def lecun_normal() -> InitFn:
     """The "Jax initialization" the paper uses for its ViT runs (§5.2)."""
 

@@ -1,6 +1,6 @@
-"""Auto-parallel strategy compiler (ISSUE 9): search properties,
-prediction-vs-simulation parity, config emission, and the advisor's
-ZeRO-aware memory feasibility fix.
+"""Auto-parallel strategy compiler: search properties,
+prediction-vs-simulation parity, config emission, workload validation and
+ZeRO-aware memory feasibility.
 
 The compiler's contract, tested here:
 
@@ -22,12 +22,15 @@ The compiler's contract, tested here:
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.autopar.advisor import ParallelPlan, Workload, estimate_plan
 from repro.autopar.compiler import (
     compile_strategy,
     probe_scale,
@@ -43,6 +46,7 @@ from repro.autopar.scoring import (
 from repro.autopar.search import (
     SearchSpace,
     StrategyCandidate,
+    Workload,
     enumerate_candidates,
 )
 from repro.cluster import system_i, system_ii, uniform_cluster
@@ -176,6 +180,38 @@ class TestScoring:
                 assert op.group in groups
                 assert op.nbytes >= 1
 
+    def test_pipeline_bubble_accounted(self):
+        """No bubble without a pipeline; GPipe's ``(p-1)/(m+p-1)`` with
+        one."""
+        cl = uniform_cluster(8)
+        flat = StrategyCandidate(data=8, tensor=1, mode="1d", pipeline=1)
+        assert score_candidate(cl, WORK, flat, 128).bubble_fraction == 0.0
+        for p, m in [(2, 1), (2, 4), (4, 2), (4, 8)]:
+            cand = StrategyCandidate(data=8 // p, tensor=1, mode="1d",
+                                     pipeline=p, schedule="gpipe",
+                                     microbatches=m)
+            s = score_candidate(cl, WORK, cand, 128)
+            assert s.bubble_fraction == (p - 1) / (m + p - 1)
+
+    def test_oom_plans_rejected(self):
+        """A model far beyond one 16 GB device, ZeRO-free, only fits under
+        model parallelism: every feasible candidate has tensor*pipeline > 1
+        (88 of 256 candidates)."""
+        big = Workload(n_layers=32, hidden=4096, n_heads=64, seq_len=512)
+        cl = uniform_cluster(8, memory_gb=16)
+        cache = _CostCache(cl)
+        scored = [
+            score_candidate(cl, big, cand, 64, cache)
+            for cand in enumerate_candidates(
+                big, 64, 8, SearchSpace(zero_stages=(0,))
+            )
+        ]
+        feasible = [s for s in scored if s.feasible]
+        assert (len(feasible), len(scored)) == (88, 256)
+        assert all(
+            s.candidate.tensor * s.candidate.pipeline > 1 for s in feasible
+        )
+
 
 # -- config emission --------------------------------------------------------
 
@@ -227,6 +263,34 @@ class TestConfigEmission:
             Config.from_dict(dict(autopar=dict(workload=dict(hidden=64))))
         with pytest.raises(ValueError, match="pipeline schedule"):
             Config.from_dict(dict(pipeline_schedule="interleaved"))
+
+
+# -- workload validation ----------------------------------------------------
+
+_WORK_DICT = dict(n_layers=4, hidden=256, n_heads=4, seq_len=64)
+
+
+@pytest.mark.parametrize("entry", ["config", "compile"])
+@pytest.mark.parametrize("override, match", [
+    (dict(n_layers=0), r"n_layers.*0"),
+    (dict(hidden=0), r"hidden.*0"),
+    (dict(n_heads=0), r"n_heads.*0"),
+    (dict(seq_len=0), r"seq_len.*0"),
+    (dict(mlp_ratio=0), r"mlp_ratio.*0"),
+    (dict(bytes_per_elem=0), r"bytes_per_elem.*0"),
+    (dict(microbatches=8), r"unknown key.*microbatches"),
+    (dict(bogus=1), r"unknown key.*bogus"),
+])
+def test_bad_workload_is_value_error(entry, override, match):
+    """A nonsense size or an unknown key is a ValueError naming it, both
+    at config validation and at the compiler's dict entry point — never a
+    compiled plan or a bare TypeError at launch."""
+    work = {**_WORK_DICT, **override}
+    with pytest.raises(ValueError, match=match):
+        if entry == "config":
+            Config.from_dict(dict(autopar=dict(workload=work)))
+        else:
+            compile_strategy(uniform_cluster(4), work, 32, refine=False)
 
 
 # -- determinism ------------------------------------------------------------
@@ -368,25 +432,30 @@ class TestFig11ModeSwitch:
         assert t["2d"] < t["1d"]
 
 
-# -- advisor ZeRO memory feasibility (regression) ---------------------------
+# -- ZeRO memory feasibility (regression) -----------------------------------
 
 
 class TestAdvisorZeroFeasibility:
-    """The advisor priced every plan's memory ZeRO-free and rejected
-    configurations the paper runs; ``estimate_plan(..., zero_stage=)`` now
-    partitions the partitionable slice across the DP group."""
+    """Memory priced ZeRO-free rejects configurations the paper runs;
+    :func:`score_candidate` partitions the partitionable slice of the model
+    data across the DP group at the candidate's ZeRO stage."""
 
     # ~1.2e9 params: 16 B/param model data (19.3 GiB) exceeds a 16 GiB
     # device ZeRO-free, but ZeRO-3 over dp=8 partitions it to ~2.4 GiB
     BIG = Workload(n_layers=24, hidden=2048, n_heads=16, seq_len=128)
-    PLAN = ParallelPlan(data=8, tensor=1, mode="1d", pipeline=1)
 
     def test_previously_rejected_plan_now_feasible(self):
         cl = uniform_cluster(8, memory_gb=16)
-        without = estimate_plan(cl, self.BIG, self.PLAN, 64, zero_stage=0)
-        with_zero = estimate_plan(cl, self.BIG, self.PLAN, 64, zero_stage=3)
-        assert not without.fits
-        assert with_zero.fits
+
+        def dp8(zero_stage):
+            cand = StrategyCandidate(data=8, tensor=1, mode="1d", pipeline=1,
+                                     zero_stage=zero_stage)
+            return score_candidate(cl, self.BIG, cand, 64)
+
+        without, with_zero = dp8(0), dp8(3)
+        assert not without.feasible
+        assert without.reason.startswith("out of memory")
+        assert with_zero.feasible
         assert "zero3" in with_zero.notes
         assert with_zero.memory_bytes < without.memory_bytes
 
@@ -449,3 +518,24 @@ class TestLaunchWiring:
 
         results = launch(cfg, cl, fn, world_size=2)
         assert results == ["OneFOneBSchedule"] * 2
+
+
+# -- examples ---------------------------------------------------------------
+
+_REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "example", ["compile_strategy.py", "layout_conversion.py"]
+)
+def test_autopar_example_runs(example):
+    """The self-checking autopar examples run clean end to end."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(_REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(_REPO / "examples" / example)],
+        cwd=_REPO, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

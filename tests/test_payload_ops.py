@@ -110,25 +110,3 @@ class TestSpecArrayAPI:
         s = SpecArray((2, 2))
         c = s.copy()
         assert c.shape == s.shape and c is not s
-
-
-class TestProfileUtil:
-    def test_breakdown_table(self):
-        from repro.cluster import uniform_cluster
-        from repro.runtime import SpmdRuntime
-        from repro.utils.profile import comm_fraction, format_breakdown, time_breakdown
-        from repro.comm import Communicator
-
-        rt = SpmdRuntime(uniform_cluster(2))
-
-        def prog(ctx):
-            ctx.clock.advance(1.0, "compute")
-            Communicator.world(ctx).all_reduce(np.zeros(1024, dtype=np.float32))
-
-        rt.run(prog)
-        rows = time_breakdown(rt)
-        assert rows[0]["compute"] == 1.0
-        assert rows[0]["comm"] > 0
-        assert 0 < comm_fraction(rt) < 1
-        table = format_breakdown(rt, unit=1e-6, suffix="us")
-        assert "rank" in table and "compute" in table
