@@ -57,7 +57,7 @@ def _charge(flops: float, dtype: np.dtype, op_name: Optional[str] = None) -> Non
     if flops <= 0 or not in_spmd():
         return
     ctx = current_rank_context()
-    cap = getattr(ctx.runtime, "capture", None)
+    cap = ctx.runtime.capture
     if cap is not None and op_name is not None:
         cap.note_op(ctx.rank, op_name)
     name = _dtype_name(dtype)

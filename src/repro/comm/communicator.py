@@ -14,12 +14,12 @@ order so results are bitwise deterministic run-to-run.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.comm.cost import CollectiveCost
-from repro.comm.group import ProcessGroup, WorkHandle
+from repro.comm.group import ProcessGroup, WorkHandle, max_join
 from repro.comm.payload import Payload, SpecArray, is_spec, like
 from repro.runtime.errors import CollectiveTimeout
 
@@ -135,6 +135,12 @@ class Communicator:
         self.rank = group.local_rank(global_rank)
         self.size = group.size
 
+    def _spec(self, op: str, payload: Any, **params: Any) -> Any:
+        """This rank's :class:`~repro.sanitize.spec.CollectiveSpec` of a
+        call, or None when no sanitizer is installed."""
+        san = self.group.runtime.sanitizer
+        return None if san is None else san.make_spec(op, payload, self, **params)
+
     # -- construction ------------------------------------------------------
 
     @staticmethod
@@ -158,8 +164,7 @@ class Communicator:
                 results[local] = membership[c]
             return results, CollectiveCost(self.group.cost_model.alpha, 0), "split", 1
 
-        san = self.group.runtime.sanitizer
-        spec = None if san is None else san.make_spec("split", None, self)
+        spec = self._spec("split", None)
         ranks = self.group.rendezvous(
             self.global_rank, (color, key), finalize, spec
         )
@@ -197,9 +202,7 @@ class Communicator:
                 }
             return results, cost, "all_reduce", x.dtype.itemsize
 
-        san = self.group.runtime.sanitizer
-        spec = (None if san is None
-                else san.make_spec("all_reduce", x, self, reduce_op=op))
+        spec = self._spec("all_reduce", x, reduce_op=op)
         return finalize, spec
 
     def all_reduce(self, x: Payload, op: ReduceOp = "sum") -> Payload:
@@ -229,10 +232,8 @@ class Communicator:
             )
         finalize, _ = self._allreduce_round(xs[0], op)
         group = self.group
-        san = group.runtime.sanitizer
-        specs = None if san is None else {
-            i: san.make_spec("all_reduce", x, Communicator(group, g),
-                             reduce_op=op)
+        specs = None if group.runtime.sanitizer is None else {
+            i: Communicator(group, g)._spec("all_reduce", x, reduce_op=op)
             for i, (g, x) in enumerate(zip(group.ranks, xs))
         }
         results = group.rendezvous_members(dict(enumerate(xs)), finalize, specs)
@@ -249,9 +250,7 @@ class Communicator:
             }
             return results, cost, "all_gather", x.dtype.itemsize
 
-        san = self.group.runtime.sanitizer
-        spec = (None if san is None
-                else san.make_spec("all_gather", x, self, axis=axis))
+        spec = self._spec("all_gather", x, axis=axis)
         return finalize, spec
 
     def all_gather(self, x: Payload, axis: int = 0) -> Payload:
@@ -277,9 +276,7 @@ class Communicator:
             cost = self.group.cost_model.reduce_scatter(self.group.ranks, int(x.nbytes))
             return dict(enumerate(chunks)), cost, "reduce_scatter", x.dtype.itemsize
 
-        san = self.group.runtime.sanitizer
-        spec = (None if san is None else san.make_spec(
-            "reduce_scatter", x, self, reduce_op=op, axis=axis))
+        spec = self._spec("reduce_scatter", x, reduce_op=op, axis=axis)
         return finalize, spec
 
     def reduce_scatter(self, x: Payload, axis: int = 0, op: ReduceOp = "sum") -> Payload:
@@ -308,9 +305,7 @@ class Communicator:
             }
             return results, cost, "broadcast", src.dtype.itemsize
 
-        san = self.group.runtime.sanitizer
-        spec = (None if san is None
-                else san.make_spec("broadcast", x, self, root=root))
+        spec = self._spec("broadcast", x, root=root)
         return self.group.rendezvous(self.global_rank, x, finalize, spec)
 
     def reduce(self, x: Payload, root: int = 0, op: ReduceOp = "sum") -> Optional[Payload]:
@@ -325,9 +320,7 @@ class Communicator:
             results[root] = combined
             return results, cost, "reduce", x.dtype.itemsize
 
-        san = self.group.runtime.sanitizer
-        spec = (None if san is None else san.make_spec(
-            "reduce", x, self, reduce_op=op, root=root))
+        spec = self._spec("reduce", x, reduce_op=op, root=root)
         return self.group.rendezvous(self.global_rank, x, finalize, spec)
 
     def scatter(self, x: Optional[Payload], root: int = 0, axis: int = 0) -> Payload:
@@ -344,9 +337,7 @@ class Communicator:
             )
             return dict(enumerate(chunks)), cost, "scatter", src.dtype.itemsize
 
-        san = self.group.runtime.sanitizer
-        spec = (None if san is None
-                else san.make_spec("scatter", x, self, root=root, axis=axis))
+        spec = self._spec("scatter", x, root=root, axis=axis)
         return self.group.rendezvous(self.global_rank, x, finalize, spec)
 
     def gather(self, x: Payload, root: int = 0, axis: int = 0) -> Optional[Payload]:
@@ -362,9 +353,7 @@ class Communicator:
             results[root] = gathered
             return results, cost, "gather", x.dtype.itemsize
 
-        san = self.group.runtime.sanitizer
-        spec = (None if san is None
-                else san.make_spec("gather", x, self, root=root, axis=axis))
+        spec = self._spec("gather", x, root=root, axis=axis)
         return self.group.rendezvous(self.global_rank, x, finalize, spec)
 
     def all_to_all(self, chunks: List[Payload]) -> List[Payload]:
@@ -383,9 +372,7 @@ class Communicator:
             cost = self.group.cost_model.all_to_all(self.group.ranks, nbytes_local)
             return results, cost, "all_to_all", chunks[0].dtype.itemsize
 
-        san = self.group.runtime.sanitizer
-        spec = (None if san is None else san.make_spec(
-            "all_to_all", None, self, nchunks=len(chunks)))
+        spec = self._spec("all_to_all", None, nchunks=len(chunks))
         return self.group.rendezvous(self.global_rank, chunks, finalize, spec)
 
     def barrier(self) -> None:
@@ -393,8 +380,7 @@ class Communicator:
             cost = self.group.cost_model.barrier(self.group.ranks)
             return {i: None for i in payloads}, cost, "barrier", 1
 
-        san = self.group.runtime.sanitizer
-        spec = None if san is None else san.make_spec("barrier", None, self)
+        spec = self._spec("barrier", None)
         self.group.rendezvous(self.global_rank, None, finalize, spec)
 
     def ring_pass(self, x: Payload, shift: int = 1) -> Payload:
@@ -417,9 +403,7 @@ class Communicator:
             cost = CollectiveCost(seconds, wire)
             return results, cost, "ring_pass", x.dtype.itemsize
 
-        san = self.group.runtime.sanitizer
-        spec = (None if san is None
-                else san.make_spec("ring_pass", x, self, shift=shift))
+        spec = self._spec("ring_pass", x, shift=shift)
         return self.group.rendezvous(self.global_rank, x, finalize, spec)
 
     def all_gather_object(self, obj: Any) -> List[Any]:
@@ -431,120 +415,101 @@ class Communicator:
             cost = self.group.cost_model.allgather(self.group.ranks, _OBJECT_NBYTES)
             return {i: list(ordered) for i in payloads}, cost, "all_gather_object", 1
 
-        san = self.group.runtime.sanitizer
-        spec = (None if san is None
-                else san.make_spec("all_gather_object", None, self))
+        spec = self._spec("all_gather_object", None)
         return self.group.rendezvous(self.global_rank, obj, finalize, spec)
 
     # -- point-to-point ---------------------------------------------------------
 
     def _deliver(self, x: Payload, dst: int, tag: Any,
-                 start_time: Optional[float] = None) -> CollectiveCost:
-        """Run the fault/retry loop for one p2p transmission and enqueue the
-        payload; returns the successful attempt's cost (the caller decides
-        when the sender's clock is charged for it — blocking ``send``
-        immediately, ``isend`` on ``wait``).
+                 kind: str) -> Optional[WorkHandle]:
+        """Send ``x`` to local rank ``dst`` and return the wait handle of an
+        isend (None for a blocking send).
 
-        Each dropped/corrupted attempt charges the failed transfer plus
-        backoff to the sender's clock and counts the retransmitted bytes;
-        a permanently dead link exhausts the retry budget and raises
-        :class:`CollectiveTimeout`.
+        ``kind`` is ``"ps"`` (blocking: the sender's clock is charged the
+        transfer now), ``"pse"`` (eager isend: charged on ``wait``) or
+        ``"pss"`` (stream isend: the transfer occupies the sender's p2p
+        stream from max(issue time, stream tail) and the clock is not
+        charged).  Each dropped/corrupted attempt first charges the failed
+        transfer plus backoff to the sender's clock and counts the
+        retransmitted bytes; a permanently dead link exhausts the retry
+        budget and raises :class:`CollectiveTimeout`.
         """
+        group = self.group
         src_g = self.global_rank
-        dst_g = self.group.global_rank(dst)
-        runtime = self.group.runtime
+        dst_g = group.global_rank(dst)
+        runtime = group.runtime
         clock = runtime.clocks[src_g]
-        cost = self.group.cost_model.p2p(src_g, dst_g, int(x.nbytes))
+        obs = runtime.observers
+        t0 = clock.time
+        start = max(t0, group._p2p_tails[src_g])
+        cost = group.cost_model.p2p(src_g, dst_g, int(x.nbytes))
         injector = runtime.fault_injector
-        san = runtime.sanitizer
         if injector is not None:
             injector.check_time_crash(src_g, clock.time)
             policy = runtime.retry_policy
-            tracer = runtime.tracer
             failures = 0
             while True:
                 verdict = injector.p2p_verdict(src_g, dst_g)
                 if verdict == "deliver":
                     break
-                if verdict == "corrupt" and san is not None:
-                    san.note_injected_corruption(src_g, dst_g)
                 failures += 1
-                t0 = clock.time
+                t_try = clock.time
                 clock.advance(cost.seconds + policy.backoff(failures), "comm")
-                if tracer is not None:
-                    tracer.annotate(
-                        src_g, "retry", "p2p:retry", t0, clock.time,
-                        dst=dst_g, attempt=failures,
-                    )
-                self.group.counters.record_retry(
+                if obs is not None:
+                    obs.p2p_retry(src_g, dst_g, failures, verdict, t_try,
+                                  clock.time)
+                group.counters.record_retry(
                     "p2p", cost.wire_bytes, int(x.size)
                 )
                 if failures > policy.max_retries:
                     raise CollectiveTimeout(
                         "p2p", (src_g, dst_g), attempts=failures
                     )
-        # stream sends start at max(issue time, sender's p2p stream tail);
-        # injected retransmissions above advance the sender's clock, so the
-        # max keeps availability consistent with the charged retries
-        if start_time is None:
-            t_avail = clock.time + cost.seconds
+        group.counters.record("p2p", cost.wire_bytes, int(x.size))
+        handle: Optional[WorkHandle] = None
+        if kind == "pss":
+            # injected retransmissions above advanced the clock, so the max
+            # keeps availability consistent with the charged retries
+            t0 = max(start, clock.time)
+            t1 = t_avail = t0 + cost.seconds
+            group._p2p_tails[src_g] = t1
+            runtime.comm_streams[src_g].occupy(t0, t1)
+            handle = StreamSendHandle(self, t1, cost.seconds)
         else:
-            t_avail = max(start_time, clock.time) + cost.seconds
-        self.group.counters.record("p2p", cost.wire_bytes, int(x.size))
+            t_avail = clock.time + cost.seconds
+            if kind == "ps":
+                clock.advance(cost.seconds, "comm")
+            else:
+                handle = Request(kind="send", comm=self, seconds=cost.seconds)
+            t1 = clock.time
         payload = x if is_spec(x) else x.copy()
-        key = (src_g, dst_g, (id(self.group), tag))
-        if san is not None:
-            san.note_send(src_g, dst_g, key, payload)
+        key = (src_g, dst_g, group, tag)
+        if obs is not None:
+            obs.sent(kind, key, payload, cost, t0, t1, handle)
         runtime.mailboxes.put(key, (payload, t_avail))
-        return cost
+        return handle
 
     def send(self, x: Payload, dst: int, tag: Any = 0) -> None:
         """Send ``x`` to local rank ``dst``.  Returns once the payload is
         enqueued; the sender's clock is charged the full transfer (eager
         synchronous model), plus retransmissions under injected faults."""
-        runtime = self.group.runtime
-        clock = runtime.clocks[self.global_rank]
-        t0 = clock.time
-        cost = self._deliver(x, dst, tag)
-        clock.advance(cost.seconds, "comm")
-        cap = runtime.capture
-        if cap is not None:
-            cap.record_send(
-                self.global_rank, "ps", self.group,
-                self.group.global_rank(dst), tag, int(x.nbytes),
-                int(x.size), cost,
-            )
-        if runtime.tracer is not None:
-            runtime.tracer.annotate(
-                self.global_rank, "p2p", "send", t0, clock.time,
-                dst=self.group.global_rank(dst), nbytes=int(x.nbytes),
-            )
+        self._deliver(x, dst, tag, "ps")
 
     def recv(self, src: int, tag: Any = 0) -> Payload:
         """Blocking receive from local rank ``src``."""
         src_g = self.group.global_rank(src)
         dst_g = self.global_rank
         runtime = self.group.runtime
-        if runtime.fault_injector is not None:
-            runtime.fault_injector.check_time_crash(
-                dst_g, runtime.clocks[dst_g].time
-            )
         clock = runtime.clocks[dst_g]
+        if runtime.fault_injector is not None:
+            runtime.fault_injector.check_time_crash(dst_g, clock.time)
         t0 = clock.time
-        key = (src_g, dst_g, (id(self.group), tag))
+        key = (src_g, dst_g, self.group, tag)
         payload, t_avail = runtime.mailboxes.get(key, runtime.aborting)
-        san = runtime.sanitizer
-        if san is not None:
-            san.verify_recv(src_g, dst_g, key, payload)
         clock.sync_to(t_avail, "comm")
-        cap = runtime.capture
-        if cap is not None:
-            cap.record_recv(dst_g, self.group, src_g, tag)
-        if runtime.tracer is not None:
-            runtime.tracer.annotate(
-                dst_g, "p2p", "recv", t0, clock.time,
-                src=src_g, nbytes=int(payload.nbytes),
-            )
+        obs = runtime.observers
+        if obs is not None:
+            obs.received(key, payload, t0, clock.time)
         return payload
 
     def sendrecv(self, x: Payload, dst: int, src: int, tag: Any = 0) -> Payload:
@@ -563,56 +528,30 @@ class Communicator:
         immediately available and the sender's clock is charged the full
         transfer on ``wait()`` (retransmission charges land immediately).
         """
-        runtime = self.group.runtime
-        cap = runtime.capture
-        if not runtime.comm_overlap:
-            cost = self._deliver(x, dst, tag)
-            if cap is not None:
-                cap.record_send(
-                    self.global_rank, "pse", self.group,
-                    self.group.global_rank(dst), tag, int(x.nbytes),
-                    int(x.size), cost,
-                )
-            return Request(kind="send", comm=self, seconds=cost.seconds)
-        src_g = self.global_rank
-        clock = runtime.clocks[src_g]
-        start = max(clock.time, self.group._p2p_tails[src_g])
-        cost = self._deliver(x, dst, tag, start_time=start)
-        start = max(start, clock.time)  # injected retries moved the clock
-        t_end = start + cost.seconds
-        self.group._p2p_tails[src_g] = t_end
-        runtime.comm_streams[src_g].occupy(start, t_end)
-        sid = None
-        if cap is not None:
-            sid = cap.record_isend_stream(
-                src_g, self.group, self.group.global_rank(dst), tag,
-                int(x.nbytes), int(x.size), cost,
-            )
-        if runtime.tracer is not None:
-            runtime.tracer.annotate(
-                src_g, "comm_stream", "isend", start, t_end,
-                dst=self.group.global_rank(dst), nbytes=int(x.nbytes),
-            )
-        return StreamSendHandle(self, t_end, cost.seconds, sid=sid)
+        kind = "pss" if self.group.runtime.comm_overlap else "pse"
+        return self._deliver(x, dst, tag, kind)
 
     def irecv(self, src: int, tag: Any = 0) -> "Request":
         """Non-blocking receive; ``wait()`` blocks until the message lands."""
         return Request(kind="recv", comm=self, src=src, tag=tag)
+
+    def __repr__(self) -> str:
+        return (f"Communicator(rank={self.rank}/{self.size}, "
+                f"group={self.group.ranks})")
 
 
 class StreamSendHandle(WorkHandle):
     """Handle for an overlap-mode ``isend`` running on the sender's p2p
     stream; ``wait()`` max-joins the sender's clock to transfer completion."""
 
-    __slots__ = ("_comm", "_t_end", "_seconds", "_done", "_sid")
+    __slots__ = ("_comm", "_t_end", "_seconds", "_done")
 
-    def __init__(self, comm: "Communicator", t_end: float, seconds: float,
-                 sid: Optional[int] = None) -> None:
+    def __init__(self, comm: "Communicator", t_end: float,
+                 seconds: float) -> None:
         self._comm = comm
         self._t_end = t_end
         self._seconds = seconds
         self._done = False
-        self._sid = sid
 
     def test(self) -> bool:
         # the payload is enqueued at issue; completion is purely a simulated-
@@ -624,22 +563,13 @@ class StreamSendHandle(WorkHandle):
             return None
         runtime = self._comm.group.runtime
         rank = self._comm.global_rank
-        clock = runtime.clocks[rank]
-        t_wait = clock.time
-        exposed = min(self._seconds, max(0.0, self._t_end - t_wait))
-        clock.sync_to(self._t_end, "comm")
-        runtime.comm_streams[rank].note_exposed(exposed)
-        self._comm.group.counters.record_overlap(
-            "p2p", exposed, max(0.0, self._seconds - exposed)
-        )
-        cap = runtime.capture
-        if cap is not None and self._sid is not None:
-            cap.record_stream_wait(rank, self._sid)
-        if runtime.tracer is not None and exposed > 0.0:
-            runtime.tracer.annotate(
-                rank, "overlap", "wait/isend", t_wait, self._t_end,
-                exposed=exposed, overlapped=max(0.0, self._seconds - exposed),
-            )
+        t_wait, exposed, overlapped = max_join(
+            runtime.clocks[rank], runtime.comm_streams[rank],
+            self._comm.group.counters, "p2p", self._t_end, self._seconds)
+        obs = runtime.observers
+        if obs is not None:
+            obs.stream_waited(rank, self, t_wait, self._t_end, exposed,
+                              overlapped)
         self._done = True
         return None
 
@@ -661,11 +591,12 @@ class Request(WorkHandle):
         """True once the operation can complete without blocking."""
         if self._done or self._kind == "send":
             return True
-        runtime = self._comm.group.runtime
-        src_g = self._comm.group.global_rank(self._src)
-        key = (src_g, self._comm.global_rank, (id(self._comm.group), self._tag))
-        with runtime.mailboxes._cond:
-            return bool(runtime.mailboxes._boxes.get(key))
+        comm = self._comm
+        key = (comm.group.global_rank(self._src), comm.global_rank,
+               comm.group, self._tag)
+        mailboxes = comm.group.runtime.mailboxes
+        with mailboxes._cond:
+            return bool(mailboxes._boxes.get(key))
 
     def wait(self) -> Optional[Payload]:
         """Complete the op: send charges the transfer time, recv blocks for
@@ -673,22 +604,13 @@ class Request(WorkHandle):
         if self._done:
             return self._result
         if self._kind == "send":
-            self._comm.group.runtime.clocks[self._comm.global_rank].advance(
-                self._seconds, "comm"
-            )
-            cap = self._comm.group.runtime.capture
-            if cap is not None:
-                cap.record_wait_eager(self._comm.global_rank, self._seconds)
+            runtime = self._comm.group.runtime
+            rank = self._comm.global_rank
+            runtime.clocks[rank].advance(self._seconds, "comm")
+            obs = runtime.observers
+            if obs is not None:
+                obs.eager_waited(rank, self._seconds)
         else:
             self._result = self._comm.recv(self._src, self._tag)
         self._done = True
         return self._result
-
-    # -- introspection ------------------------------------------------------------
-
-    @property
-    def counters(self):
-        return self.group.counters
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Communicator(rank={self.rank}/{self.size}, group={self.group.ranks})"

@@ -36,8 +36,8 @@ from repro.runtime.errors import CollectiveTimeout
 #: not a liveness mechanism (completion and abort are notify-driven).
 _DIAG_WINDOW = 0.05
 
-#: shared empty trace-tag mapping — rounds only swap in a real dict when the
-#: sanitizer contributes tags, so the disabled path allocates nothing extra
+#: shared empty span-tag mapping — a round only swaps in a real dict when the
+#: sanitizer tags it, so the disabled path allocates nothing extra
 _NO_EXTRA: Dict[str, Any] = {}
 
 #: finalize(payloads by local rank) ->
@@ -50,8 +50,8 @@ FinalizeFn = Callable[
 class _Round:
     __slots__ = (
         "payloads", "entry_times", "results", "done", "claimed", "error",
-        "op", "t_start", "t_end", "wire_bytes", "retries", "retry_seconds",
-        "algorithm", "specs", "trace_extra", "mode",
+        "op", "cost", "itemsize", "t_start", "t_end", "retries",
+        "retry_seconds", "specs", "race_token", "trace_extra", "mode",
     )
 
     def __init__(self) -> None:
@@ -61,16 +61,18 @@ class _Round:
         self.done = False
         self.claimed = 0
         self.error: Optional[BaseException] = None
-        # trace annotations filled in by the finalizer
+        # filled in by the finalizer
         self.op: Optional[str] = None
+        self.cost: Optional[CollectiveCost] = None
+        self.itemsize = 0
         self.t_start = 0.0
         self.t_end = 0.0
-        self.wire_bytes = 0
         self.retries = 0
         self.retry_seconds = 0.0
-        self.algorithm = ""
-        # sanitizer state: per-local-rank CollectiveSpec, extra span tags
+        # sanitizer state: per-local-rank CollectiveSpec, race-freeze token,
+        # extra span tags
         self.specs: Optional[Dict[int, Any]] = None
+        self.race_token: Any = None
         self.trace_extra: Dict[str, Any] = _NO_EXTRA
         # "sync" (blocking rendezvous) or "async" (handle-based); set by the
         # first arriver — mixing the two in one round is a program error
@@ -95,6 +97,20 @@ class WorkHandle:
         raise NotImplementedError
 
 
+def max_join(clock: Any, stream: Any, counters: CommCounters, op: str,
+             t_end: float, duration: float) -> Tuple[float, float, float]:
+    """A wait on a ``duration`` op that completes on the comm ``stream`` at
+    ``t_end``: join the compute ``clock`` to it, charging only the exposed
+    remainder as ``comm``; returns ``(t_wait, exposed, overlapped)``."""
+    t_wait = clock.time
+    exposed = min(duration, max(0.0, t_end - t_wait))
+    overlapped = max(0.0, duration - exposed)
+    clock.sync_to(t_end, "comm")
+    stream.note_exposed(exposed)
+    counters.record_overlap(op, exposed, overlapped)
+    return t_wait, exposed, overlapped
+
+
 class ProcessGroup:
     """A fixed, ordered set of global ranks with collective state.
 
@@ -111,8 +127,8 @@ class ProcessGroup:
         self._local = {g: i for i, g in enumerate(ranks)}
         self.cost_model = CostModel(
             runtime.cluster,
-            algorithm=getattr(runtime, "comm_algorithm", "ring"),
-            island_ratio=getattr(runtime, "comm_island_ratio", 0.5),
+            algorithm=runtime.comm_algorithm,
+            island_ratio=runtime.comm_island_ratio,
         )
         self.counters = CommCounters()
         self._cond = threading.Condition()
@@ -168,64 +184,12 @@ class ProcessGroup:
         """
         me = self.local_rank(my_global_rank)
         clock = self.runtime.clocks[my_global_rank]
-
-        injector = self.runtime.fault_injector
-        if injector is not None:
-            injector.check_time_crash(my_global_rank, clock.time)
-
-        tracer = self.runtime.tracer
-        san = self.runtime.sanitizer
-        if spec is not None:
-            spec.seq = self._seq[my_global_rank]
-
+        seq = self._take_seq(my_global_rank, spec, clock)
         if self.size == 1:
-            t0 = clock.time
-            extra: Dict[str, Any] = _NO_EXTRA
-            if san is not None:
-                san.verify_round(self, self._seq[my_global_rank], {0: spec} if spec else None)
-            results, cost, op, itemsize = finalize({0: payload})
-            if san is not None:
-                extra = san.finish_round(
-                    self, self._seq[my_global_rank],
-                    {0: spec} if spec else None, {0: payload}, results,
-                )
-                self._seq[my_global_rank] += 1
-            if self.async_tail > clock.time:
-                clock.sync_to(self.async_tail, "comm")
-            clock.advance(cost.seconds, "comm")
-            self.async_tail = clock.time
-            if cost.wire_bytes:
-                self.counters.record(
-                    op, cost.wire_bytes, cost.wire_elements(itemsize),
-                    algorithm=cost.algorithm,
-                )
-            cap = self.runtime.capture
-            if cap is not None:
-                cap.record_solo(my_global_rank, self, op, cost, itemsize, payload)
-            if tracer is not None:
-                tracer.annotate(
-                    my_global_rank, "collective", op, t0, clock.time,
-                    wire_bytes=cost.wire_bytes, group_size=1, primary=True,
-                    algo=cost.algorithm, **extra,
-                )
-            return results[0]
-
-        seq = self._seq[my_global_rank]
-        self._seq[my_global_rank] = seq + 1
+            return self._solo_round(seq, payload, finalize, spec, clock)
 
         with self._cond:
-            rnd = self._rounds.get(seq)
-            if rnd is None:
-                rnd = _Round()
-                self._rounds[seq] = rnd
-            self._check_mode(rnd, "sync")
-            rnd.payloads[me] = payload
-            rnd.entry_times[me] = clock.time
-            if spec is not None:
-                if rnd.specs is None:
-                    rnd.specs = {}
-                rnd.specs[me] = spec
-
+            rnd = self._arrive(me, seq, payload, spec, clock, "sync")
             if rnd.done:
                 # The round already failed (a sanitizer desync verdict)
                 # while this rank was on its way; claim the error below.
@@ -244,6 +208,34 @@ class ProcessGroup:
             assert rnd.results is not None
             return rnd.results[me]
 
+    def _take_seq(self, rank: int, spec: Any, clock: Any) -> int:
+        """Check ``rank`` for a scheduled crash, then hand it its next
+        round number on this group."""
+        injector = self.runtime.fault_injector
+        if injector is not None:
+            injector.check_time_crash(rank, clock.time)
+        seq = self._seq[rank]
+        self._seq[rank] = seq + 1
+        if spec is not None:
+            spec.seq = seq
+        return seq
+
+    def _arrive(self, me: int, seq: int, payload: Any, spec: Any,
+                clock: Any, mode: str) -> _Round:
+        """Record local rank ``me``'s arrival at round ``seq`` (group
+        condition held)."""
+        rnd = self._rounds.get(seq)
+        if rnd is None:
+            rnd = self._rounds[seq] = _Round()
+        self._check_mode(rnd, mode)
+        rnd.payloads[me] = payload
+        rnd.entry_times[me] = clock.time
+        if spec is not None:
+            if rnd.specs is None:
+                rnd.specs = {}
+            rnd.specs[me] = spec
+        return rnd
+
     def rendezvous_members(self, payloads: Dict[int, Any],
                            finalize: FinalizeFn,
                            specs: Optional[Dict[int, Any]] = None,
@@ -257,7 +249,7 @@ class ProcessGroup:
         enters at its own clock time, and the round completes through the
         same :meth:`_complete_round` as a threaded rendezvous: the same
         pricing, clock sync, counters, sanitizer checks (``specs`` by local
-        rank), capture records and per-member trace spans.
+        rank) and observer events.
         """
         if self.size == 1:
             return {0: self.rendezvous(
@@ -292,6 +284,38 @@ class ProcessGroup:
         assert rnd.results is not None
         return rnd.results
 
+    def _solo_round(self, seq: int, payload: Any, finalize: FinalizeFn,
+                    spec: Any, clock: Any) -> Any:
+        """A size-1 round: nothing to wait for, so it runs on the calling
+        thread after the group's comm-stream tail."""
+        t0 = clock.time
+        specs = None if spec is None else {0: spec}
+        san = self.runtime.sanitizer
+        if san is not None:
+            san.verify_round(self, seq, specs)
+        results, cost, op, itemsize = finalize({0: payload})
+        if self.async_tail > clock.time:
+            clock.sync_to(self.async_tail, "comm")
+        t_start = clock.time
+        clock.advance(cost.seconds, "comm")
+        self.async_tail = clock.time
+        if cost.wire_bytes:
+            self.counters.record(
+                op, cost.wire_bytes, cost.wire_elements(itemsize),
+                algorithm=cost.algorithm,
+            )
+        obs = self.runtime.observers
+        if obs is not None:
+            rnd = _Round()
+            rnd.payloads = {0: payload}
+            rnd.entry_times = {0: t0}
+            rnd.specs = specs
+            rnd.results = results
+            rnd.op, rnd.cost, rnd.itemsize = op, cost, itemsize
+            rnd.t_start, rnd.t_end = t_start, clock.time
+            obs.round_done(self, seq, rnd, "solo")
+        return results[0]
+
     def _complete_round(self, rnd: _Round, seq: int, finalize: FinalizeFn,
                         blocking: bool) -> None:
         """Finalize a full round (group condition held).
@@ -301,18 +325,18 @@ class ProcessGroup:
         places the round after the group's comm-stream tail.  A blocking
         round syncs every member's clock to its end; a nonblocking one
         occupies every member's comm stream instead and leaves the clocks
-        to the handles' ``wait``.  On success it records the counters, the
-        sanitizer's per-rank records, the capture and the per-member trace
-        spans.  Any error is stored on the round for every member to raise.
+        to the handles' ``wait``.  On success it records the counters and
+        fires ``round_done``.  Any error is stored on the round for every
+        member to raise.
         """
         runtime = self.runtime
         injector = runtime.fault_injector
         san = runtime.sanitizer
-        race_token = None
+        obs = runtime.observers
         try:
             if san is not None:
                 san.verify_round(self, seq, rnd.specs)
-                race_token = san.race_acquire(self, rnd.payloads)
+                rnd.race_token = san.race_acquire(self, rnd.payloads)
             results, cost, op, itemsize = finalize(rnd.payloads)
             failures, permanent = 0, False
             retry_seconds = 0.0
@@ -320,8 +344,8 @@ class ProcessGroup:
                 failures, permanent = injector.collective_verdict(
                     op, self.ranks, seq
                 )
-                if (failures or permanent) and san is not None:
-                    san.note_injected_glitch(op, self.ranks, failures, permanent)
+                if (failures or permanent) and obs is not None:
+                    obs.round_retry(self, op, failures, permanent)
                 if permanent:
                     # Exhaust the full retransmission budget, then give up:
                     # every member raises the timeout.
@@ -359,64 +383,18 @@ class ProcessGroup:
                     op, cost.wire_bytes, cost.wire_elements(itemsize),
                     algorithm=cost.algorithm,
                 )
-            if san is not None:
-                rnd.trace_extra = san.finish_round(
-                    self, seq, rnd.specs, rnd.payloads, results, race_token,
-                )
-                race_token = None  # released by finish_round
-            rnd.algorithm = cost.algorithm
-            rnd.op = op
-            rnd.t_start = t_start
-            rnd.t_end = t_end
-            rnd.wire_bytes = cost.wire_bytes
-            rnd.retries = failures
-            rnd.retry_seconds = retry_seconds
+            rnd.op, rnd.cost, rnd.itemsize = op, cost, itemsize
+            rnd.t_start, rnd.t_end = t_start, t_end
+            rnd.retries, rnd.retry_seconds = failures, retry_seconds
             rnd.results = results
-            cap = runtime.capture
-            if cap is not None:
-                cap.record_round(
-                    self, seq, "sync" if blocking else "async", cost, op,
-                    itemsize, rnd.payloads,
-                )
-                if blocking:
-                    for g in self.ranks:
-                        cap.record_member(g, self, seq, "c")
-            tracer = runtime.tracer
-            if tracer is not None:
-                self._trace_round(tracer, rnd, blocking)
+            if obs is not None:
+                obs.round_done(self, seq, rnd, "sync" if blocking else "async")
         except BaseException as exc:  # propagate to every member
-            if race_token is not None:
-                san.race_release(race_token)
+            if rnd.race_token is not None:
+                san.race_release(rnd.race_token)
             rnd.error = exc
         rnd.done = True
         self._cond.notify_all()
-
-    def _trace_round(self, tracer: Any, rnd: _Round, blocking: bool) -> None:
-        """One span per member: a blocking round spans each member's own
-        entry to the common completion on its compute lane (plus a retry
-        span), a nonblocking one the stream occupancy on its comm lane.
-        Local rank 0's span carries the round totals."""
-        for local, g in enumerate(self.ranks):
-            if blocking:
-                tracer.annotate(
-                    g, "collective", rnd.op, rnd.entry_times[local], rnd.t_end,
-                    wire_bytes=rnd.wire_bytes, group_size=self.size,
-                    retries=rnd.retries, primary=(local == 0),
-                    algo=rnd.algorithm, **rnd.trace_extra,
-                )
-                if rnd.retries:
-                    tracer.annotate(
-                        g, "retry", f"{rnd.op}:retry",
-                        rnd.t_end - rnd.retry_seconds, rnd.t_end,
-                        attempts=rnd.retries,
-                    )
-            else:
-                tracer.annotate(
-                    g, "comm_stream", rnd.op, rnd.t_start, rnd.t_end,
-                    wire_bytes=rnd.wire_bytes, group_size=self.size,
-                    retries=rnd.retries, primary=(local == 0),
-                    algo=rnd.algorithm, **rnd.trace_extra,
-                )
 
     # ------------------------------------------------------------------
 
@@ -429,14 +407,10 @@ class ProcessGroup:
         ``SpmdRuntime._wake_all`` call ``notify_all``); with a sanitizer
         installed the wait is additionally chopped into ``_DIAG_WINDOW``
         slices so ``check_stalled`` keeps its one-tick desync-diagnosis
-        latency.  The deadline is measured against a monotonic start
-        timestamp — wake-ups before the timeout no longer undercount
-        elapsed time the way the old ``deadline -= poll_interval``
-        accounting did.
+        latency.  The deadline is real monotonic elapsed time.
         """
         runtime = self.runtime
         san = runtime.sanitizer
-        tracer = runtime.tracer
         deadline_ts = time.monotonic() + runtime.deadlock_timeout
         if san is not None:
             san.enter_wait(my_global_rank, self, seq, spec, rnd)
@@ -450,12 +424,8 @@ class ProcessGroup:
                         rnd.error = err
                         rnd.done = True
                         self._cond.notify_all()
-                        if tracer is not None:
-                            tracer.instant(
-                                my_global_rank,
-                                f"sanitizer:{type(err).__name__}",
-                                clock.time,
-                            )
+                        runtime.observers.stall_diagnosed(
+                            my_global_rank, err, clock.time)
                         break
                 remaining = deadline_ts - time.monotonic()
                 if remaining <= 0:
@@ -511,32 +481,12 @@ class ProcessGroup:
         """
         me = self.local_rank(my_global_rank)
         clock = self.runtime.clocks[my_global_rank]
-
-        injector = self.runtime.fault_injector
-        if injector is not None:
-            injector.check_time_crash(my_global_rank, clock.time)
-
-        if spec is not None:
-            spec.seq = self._seq[my_global_rank]
-
-        seq = self._seq[my_global_rank]
-        self._seq[my_global_rank] = seq + 1
-
+        seq = self._take_seq(my_global_rank, spec, clock)
         with self._cond:
-            rnd = self._rounds.get(seq)
-            if rnd is None:
-                rnd = _Round()
-                self._rounds[seq] = rnd
-            self._check_mode(rnd, "async")
-            rnd.payloads[me] = payload
-            rnd.entry_times[me] = clock.time
-            if spec is not None:
-                if rnd.specs is None:
-                    rnd.specs = {}
-                rnd.specs[me] = spec
-            cap = self.runtime.capture
-            if cap is not None:
-                cap.record_member(my_global_rank, self, seq, "ic")
+            rnd = self._arrive(me, seq, payload, spec, clock, "async")
+            obs = self.runtime.observers
+            if obs is not None:
+                obs.round_issued(my_global_rank, self, seq)
             if not rnd.done and len(rnd.payloads) == self.size:
                 self._complete_round(rnd, seq, finalize, blocking=False)
             return AsyncCollectiveHandle(self, seq, me, my_global_rank, spec)
@@ -574,7 +524,6 @@ class AsyncCollectiveHandle(WorkHandle):
         group = self._group
         runtime = group.runtime
         clock = runtime.clocks[self._rank]
-        tracer = runtime.tracer
         with group._cond:
             rnd = group._rounds.get(self._seq)
             if rnd is None:
@@ -597,22 +546,13 @@ class AsyncCollectiveHandle(WorkHandle):
             rnd.claimed += 1
             if rnd.claimed == group.size:
                 del group._rounds[self._seq]
-        duration = t_end - t_start
-        t_wait = clock.time
-        exposed = min(duration, max(0.0, t_end - t_wait))
-        clock.sync_to(t_end, "comm")
-        runtime.comm_streams[self._rank].note_exposed(exposed)
-        group.counters.record_overlap(
-            op or "collective", exposed, max(0.0, duration - exposed)
-        )
-        cap = runtime.capture
-        if cap is not None:
-            cap.record_member(self._rank, group, self._seq, "cw")
-        if tracer is not None and exposed > 0.0:
-            tracer.annotate(
-                self._rank, "overlap", f"wait/{op}", t_wait, t_end,
-                exposed=exposed, overlapped=max(0.0, duration - exposed),
-            )
+        t_wait, exposed, overlapped = max_join(
+            clock, runtime.comm_streams[self._rank], group.counters,
+            op or "collective", t_end, t_end - t_start)
+        obs = runtime.observers
+        if obs is not None:
+            obs.round_waited(self._rank, group, self._seq, op, t_wait, t_end,
+                             exposed, overlapped)
         self._done = True
         self._result = result
         return result

@@ -137,7 +137,7 @@ class DistributedDataParallel(Module):
         self.bucket_mb = bucket_mb
         self.comm = pc.comm(ParallelMode.DATA)
         if overlap is None:
-            overlap = getattr(self.comm.group.runtime, "comm_overlap", False)
+            overlap = self.comm.group.runtime.comm_overlap
         self.overlap = bool(overlap) and self.comm.size > 1
         self._buckets: List[List[Parameter]] = []
         self._param_bucket: Dict[int, int] = {}

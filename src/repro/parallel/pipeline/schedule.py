@@ -57,7 +57,7 @@ class PipelineSchedule:
         # overlap mode: activation/gradient sends run on the sender's p2p
         # stream (isend) so the next microbatch's compute starts immediately;
         # handles are drained (max-joined) at the end of the step
-        self._overlap = getattr(runtime, "comm_overlap", False) and self.n_stages > 1
+        self._overlap = runtime.comm_overlap and self.n_stages > 1
         self._pending_sends: List[Any] = []
 
     @property

@@ -1,19 +1,16 @@
 """Per-rank op-stream capture for projection.
 
-A :class:`CaptureRecorder` attaches to a :class:`~repro.runtime.spmd.SpmdRuntime`
-like the tracer and sanitizer do (every hook site is an ``is None`` check)
-and records, per rank, the ordered stream of *simulated-time effects* the
-program produced:
+A :class:`CaptureRecorder` is a runtime observer
+(:mod:`repro.runtime.observer`) that records, per rank, the ordered stream
+of *simulated-time effects* the program produced:
 
-* non-comm clock advances (compute / wait / offload / optimizer / h2d),
-  with the **exact** post-slowdown ``dt`` the clock added — replaying the
-  same ``dt`` sequence from the same initial state reproduces every clock
-  reading bit-for-bit, which observer-based reconstruction (``t1 - t0``)
-  cannot do under IEEE-754;
+* non-comm clock advances with the **exact** post-slowdown ``dt`` — so a
+  replay reproduces every clock reading bit-for-bit, which ``t1 - t0``
+  cannot under IEEE-754 — and non-comm forward syncs (serving's idle and
+  recovery waits) with their absolute target time;
 * collective participation events keyed by ``(group, seq)``, with the
   round's finalize facts (op, priced cost, per-rank payload sizes,
-  algorithm) stored once in a shared rounds table by whichever thread
-  finalized the rendezvous;
+  algorithm) stored once in a shared rounds table;
 * point-to-point sends/receives and stream-send issue/wait pairs, carrying
   the priced cost inline.
 
@@ -25,7 +22,6 @@ different world size or fabric.
 Capture is incompatible with fault injection (injected retries and
 slowdowns are host-nondeterministic control flow the trace does not model);
 :meth:`CaptureRecorder.install` rejects a runtime with an injector armed.
-The tracer and sanitizer compose fine — capture uses its own clock slot.
 """
 
 from __future__ import annotations
@@ -34,10 +30,11 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.comm.cost import CollectiveCost
+from repro.runtime.observer import Observer
 
 # Event tags (first tuple element) in a rank's stream:
 #   ("a",  category, dt, label)                     non-comm clock advance
+#   ("s",  category, t)                             non-comm forward sync
 #   ("c",  gid, seq)                                blocking collective
 #   ("c1", gid, info)                               size-1-group collective
 #   ("ic", gid, seq)                                nonblocking collective issue
@@ -142,23 +139,7 @@ class OpTrace:
                 "streams": {r: s for r, s in streams.items()}}
 
 
-class _ClockCapture:
-    """Per-clock capture callback binding a rank id.  Non-comm advances are
-    recorded with their exact ``dt``; comm advances are skipped — replay
-    regenerates them from the collective/p2p events."""
-
-    __slots__ = ("_rec", "_rank")
-
-    def __init__(self, rec: "CaptureRecorder", rank: int) -> None:
-        self._rec = rec
-        self._rank = rank
-
-    def __call__(self, category: str, dt: float) -> None:
-        if category != "comm":
-            self._rec.record_advance(self._rank, category, dt)
-
-
-class CaptureRecorder:
+class CaptureRecorder(Observer):
     """Records one SPMD run's per-rank op streams into an :class:`OpTrace`.
 
     Usage::
@@ -169,8 +150,9 @@ class CaptureRecorder:
         trace = rec.trace()
     """
 
+    slot = "capture"
+
     def __init__(self) -> None:
-        self._runtime: Optional[Any] = None
         self._lock = threading.Lock()
         self._streams: List[List[Event]] = []
         self._rounds: Dict[Tuple[int, int], Dict[str, Any]] = {}
@@ -178,6 +160,8 @@ class CaptureRecorder:
         self._gid_by_key: Dict[Tuple[int, ...], int] = {}
         self._pending_label: List[Optional[str]] = []
         self._sids: List[int] = []
+        #: stream-send handle -> its per-rank id, until the handle is waited
+        self._open_sends: Dict[Any, int] = {}
         self._trace: Optional[OpTrace] = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -189,22 +173,7 @@ class CaptureRecorder:
                 "and slowdowns are host-nondeterministic control flow the "
                 "projected op stream does not model"
             )
-        if self._runtime is not None and self._runtime is not runtime:
-            self.uninstall()
-        self._runtime = runtime
-        runtime.capture = self
-        for rank, clock in enumerate(runtime.clocks):
-            clock.set_capture(_ClockCapture(self, rank))
-        return self
-
-    def uninstall(self) -> None:
-        rt = self._runtime
-        if rt is None:
-            return
-        for clock in rt.clocks:
-            clock.set_capture(None)
-        rt.capture = None
-        self._runtime = None
+        return super().install(runtime)
 
     def begin_run(self, runtime: Any) -> None:
         world = runtime.world_size
@@ -215,15 +184,18 @@ class CaptureRecorder:
             self._gid_by_key = {}
             self._pending_label = [None] * world
             self._sids = [0] * world
+            self._open_sends = {}
             self._trace = None
 
-    def end_run(self, runtime: Any) -> None:
+    def end_run(self, runtime: Any, ok: bool) -> None:
+        if not ok:
+            return
         with self._lock:
             self._trace = OpTrace(
                 world_size=runtime.world_size,
                 comm_algorithm=runtime.comm_algorithm,
                 comm_overlap=runtime.comm_overlap,
-                island_ratio=getattr(runtime, "comm_island_ratio", 0.5),
+                island_ratio=runtime.comm_island_ratio,
                 cluster=runtime.cluster,
                 groups=list(self._groups),
                 streams=[list(s) for s in self._streams],
@@ -255,89 +227,93 @@ class CaptureRecorder:
                 self._gid_by_key[key] = gid
             return gid
 
-    # -- hook entry points -------------------------------------------------
-
     def note_op(self, rank: int, name: str) -> None:
         """Label the next compute advance on ``rank`` with an op name
         (called by ``Function.apply`` / the autograd engine)."""
         self._pending_label[rank] = name
 
-    def record_advance(self, rank: int, category: str, dt: float) -> None:
+    # -- observer events ---------------------------------------------------
+
+    def clock(self, rank: int, category: str, t0: float, t1: float,
+              dt: Optional[float]) -> None:
+        # comm movement is regenerated by replay from the comm events
+        if category == "comm":
+            return
+        if dt is None:
+            self._streams[rank].append(("s", category, t1))
+            return
         label = self._pending_label[rank]
         if label is not None:
             self._pending_label[rank] = None
         self._streams[rank].append(("a", category, dt, label))
 
-    def record_solo(self, rank: int, group: Any, op: str,
-                    cost: CollectiveCost, itemsize: int, payload: Any) -> None:
-        """A collective on a size-1 group (no shared round state; the
-        size-1 path does not consume sequence numbers without a sanitizer,
-        so the facts ride inline on the event)."""
-        info = {
-            "op": op,
-            "seconds": cost.seconds,
-            "wire_bytes": cost.wire_bytes,
-            "elements": cost.wire_elements(itemsize),
-            "algorithm": cost.algorithm,
-            "itemsize": itemsize,
-            "nbytes": [_payload_nbytes(payload)],
-        }
-        self._streams[rank].append(("c1", self._gid(group), info))
-
-    def record_round(self, group: Any, seq: int, mode: str,
-                     cost: CollectiveCost, op: str, itemsize: int,
-                     payloads: Dict[int, Any]) -> None:
+    def round_done(self, group: Any, seq: int, rnd: Any, mode: str) -> None:
         """Round facts, written once by the finalizing thread (under the
-        group's condition lock, so per-(gid, seq) writes never race)."""
+        group's condition lock, so per-(gid, seq) writes never race).  A
+        size-1 round has no shared state, so its facts ride inline on its
+        ``"c1"`` event."""
         gid = self._gid(group)
-        ns = [_payload_nbytes(payloads[i]) for i in sorted(payloads)]
+        cost = rnd.cost
+        nbytes = [_payload_nbytes(rnd.payloads[i]) for i in sorted(rnd.payloads)]
+        if mode == "solo":
+            self._streams[group.ranks[0]].append(("c1", gid, {
+                "op": rnd.op,
+                "seconds": cost.seconds,
+                "wire_bytes": cost.wire_bytes,
+                "elements": cost.wire_elements(rnd.itemsize),
+                "algorithm": cost.algorithm,
+                "itemsize": rnd.itemsize,
+                "nbytes": nbytes,
+            }))
+            return
         with self._lock:
             self._rounds[(gid, seq)] = {
-                "op": op,
+                "op": rnd.op,
                 "mode": mode,
                 "seconds": cost.seconds,
                 "wire_bytes": cost.wire_bytes,
                 "algorithm": cost.algorithm,
-                "itemsize": itemsize,
-                "nbytes": ns,
+                "itemsize": rnd.itemsize,
+                "nbytes": nbytes,
             }
+        if mode == "sync":
+            for g in group.ranks:
+                self._streams[g].append(("c", gid, seq))
 
-    def record_member(self, rank: int, group: Any, seq: int, tag: str) -> None:
-        """One rank's participation in a multi-member round: ``"c"``
-        (blocking), ``"ic"`` (nonblocking issue) or ``"cw"`` (handle wait)."""
-        self._streams[rank].append((tag, self._gid(group), seq))
+    def round_issued(self, rank: int, group: Any, seq: int) -> None:
+        self._streams[rank].append(("ic", self._gid(group), seq))
 
-    def record_send(self, rank: int, tag_kind: str, group: Any, dst_g: int,
-                    tag: Any, nbytes: int, elements: int,
-                    cost: CollectiveCost) -> None:
-        """Blocking ``send`` (``"ps"``) or eager non-overlap ``isend``
-        (``"pse"``)."""
-        self._streams[rank].append((
-            tag_kind, self._gid(group), dst_g, tag,
-            nbytes, cost.wire_bytes, elements, cost.seconds,
-        ))
+    def round_waited(self, rank: int, group: Any, seq: int, op: str,
+                     t_wait: float, t_end: float, exposed: float,
+                     overlapped: float) -> None:
+        self._streams[rank].append(("cw", self._gid(group), seq))
 
-    def record_isend_stream(self, rank: int, group: Any, dst_g: int, tag: Any,
-                            nbytes: int, elements: int,
-                            cost: CollectiveCost) -> int:
-        """Overlap-mode ``isend`` on the sender's p2p stream; returns the
-        per-rank stream-send id its ``wait()`` will reference."""
-        sid = self._sids[rank]
-        self._sids[rank] = sid + 1
-        self._streams[rank].append((
-            "pss", self._gid(group), sid, dst_g, tag,
-            nbytes, cost.wire_bytes, elements, cost.seconds,
-        ))
-        return sid
+    def sent(self, kind: str, key: Any, payload: Any, cost: Any,
+             t0: float, t1: float, handle: Any) -> None:
+        rank, dst, group, tag = key
+        facts = (dst, tag, int(payload.nbytes), cost.wire_bytes,
+                 int(payload.size), cost.seconds)
+        if kind == "pss":
+            sid = self._sids[rank]
+            self._sids[rank] = sid + 1
+            self._open_sends[handle] = sid
+            self._streams[rank].append(("pss", self._gid(group), sid) + facts)
+        else:
+            self._streams[rank].append((kind, self._gid(group)) + facts)
 
-    def record_stream_wait(self, rank: int, sid: int) -> None:
-        self._streams[rank].append(("psw", sid))
+    def stream_waited(self, rank: int, handle: Any, t_wait: float,
+                      t_end: float, exposed: float,
+                      overlapped: float) -> None:
+        sid = self._open_sends.pop(handle, None)
+        if sid is not None:
+            self._streams[rank].append(("psw", sid))
 
-    def record_wait_eager(self, rank: int, seconds: float) -> None:
+    def eager_waited(self, rank: int, seconds: float) -> None:
         self._streams[rank].append(("pw", seconds))
 
-    def record_recv(self, rank: int, group: Any, src_g: int, tag: Any) -> None:
-        self._streams[rank].append(("pr", self._gid(group), src_g, tag))
+    def received(self, key: Any, payload: Any, t0: float, t1: float) -> None:
+        src, rank, group, tag = key
+        self._streams[rank].append(("pr", self._gid(group), src, tag))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         n = sum(len(s) for s in self._streams)

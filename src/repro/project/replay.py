@@ -29,9 +29,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.comm.counters import CommCounters
+from repro.comm.group import max_join
 from repro.runtime.clock import SimClock, StreamClock
 
 from repro.project.capture import OpTrace
@@ -487,15 +489,6 @@ class _RoundState:
         self.priced: Optional[PricedOp] = None
 
 
-class _ReplayHost:
-    """Minimal stand-in runtime so ``Tracer.install`` can attach clock
-    observers to the replay clocks."""
-
-    def __init__(self, clocks: List[SimClock]) -> None:
-        self.clocks = clocks
-        self.tracer = None
-
-
 class ReplayEngine:
     def __init__(self, trace: OpTrace, pricer: Any,
                  plan: Optional[ScalePlan] = None,
@@ -519,7 +512,8 @@ class ReplayEngine:
         ]
         self._pos = [0] * n
         if tracer is not None:
-            tracer.install(_ReplayHost(self.clocks))
+            for rank, clock in enumerate(self.clocks):
+                clock.set_hook(partial(tracer.clock, rank))
 
     # -- public ------------------------------------------------------------
 
@@ -574,6 +568,9 @@ class ReplayEngine:
         tag = ev[0]
         if tag == "a":
             return self._ev_advance(rank, ev)
+        if tag == "s":
+            self.clocks[rank].sync_to(ev[2], ev[1])
+            return True
         if tag == "c":
             return self._ev_collective(rank, ev)
         if tag == "c1":
@@ -705,16 +702,9 @@ class ReplayEngine:
         if st is None or st.t_end is None:
             return False
         rnd = self.trace.rounds[(gid, seq)]
-        clock = self.clocks[rank]
-        duration = st.t_end - st.t_start
-        t_wait = clock.time
-        exposed = min(duration, max(0.0, st.t_end - t_wait))
-        clock.sync_to(st.t_end, "comm")
-        self.streams[rank].note_exposed(exposed)
-        self.counters[gid].record_overlap(
-            str(rnd["op"]) or "collective", exposed,
-            max(0.0, duration - exposed),
-        )
+        t_wait, exposed, _ = max_join(
+            self.clocks[rank], self.streams[rank], self.counters[gid],
+            str(rnd["op"]) or "collective", st.t_end, st.t_end - st.t_start)
         if self.tracer is not None and exposed > 0.0:
             self.tracer.annotate(
                 rank, "overlap", f"wait:{rnd['op']}", t_wait, st.t_end,
@@ -765,14 +755,9 @@ class ReplayEngine:
     def _ev_stream_wait(self, rank: int, ev: Tuple[Any, ...]) -> bool:
         _t, sid = ev
         gid, t_end, seconds = self._sids[rank].pop(sid)
-        clock = self.clocks[rank]
-        t_wait = clock.time
-        exposed = min(seconds, max(0.0, t_end - t_wait))
-        clock.sync_to(t_end, "comm")
-        self.streams[rank].note_exposed(exposed)
-        self.counters[gid].record_overlap(
-            "p2p", exposed, max(0.0, seconds - exposed)
-        )
+        t_wait, exposed, _ = max_join(
+            self.clocks[rank], self.streams[rank], self.counters[gid], "p2p",
+            t_end, seconds)
         if self.tracer is not None and exposed > 0.0:
             self.tracer.annotate(
                 rank, "overlap", "wait:p2p", t_wait, t_end, exposed=exposed

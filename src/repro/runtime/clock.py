@@ -29,39 +29,27 @@ class SimClock:
     a window edge is integrated piecewise, so only the portion of the work
     inside the window is charged at the degraded rate.
 
-    An optional *observer* (``set_observer``) is called with
-    ``(category, t_before, t_after)`` on every nonzero advance or forward
-    sync — the hook :class:`repro.trace.Tracer` uses to turn the scalar
-    breakdown into a timeline.  Disabled (``None``) it costs one attribute
-    check per advance.
+    An optional *hook* (``set_hook``) is called with ``(category, t0, t1,
+    dt)`` on every advance — ``dt`` the exact post-slowdown delta, so a
+    recorder can replay the advance stream bit-for-bit — and on every
+    forward sync, with ``dt`` None.  The runtime installs it for its
+    observers (:mod:`repro.runtime.observer`); unset it costs one attribute
+    check.
     """
 
-    __slots__ = ("_time", "_lock", "_busy", "_slowdowns", "_observer",
-                 "_capture")
+    __slots__ = ("_time", "_lock", "_busy", "_slowdowns", "_hook")
 
     def __init__(self) -> None:
         self._time = 0.0
         self._lock = threading.Lock()
         self._busy: Dict[str, float] = {}
         self._slowdowns: List[Tuple[float, float, float]] = []
-        self._observer = None
-        self._capture = None
+        self._hook = None
 
-    def set_observer(self, observer) -> None:
-        """Install (or clear, with ``None``) the span observer."""
+    def set_hook(self, hook) -> None:
+        """Install (or clear, with ``None``) the advance/sync hook."""
         with self._lock:
-            self._observer = observer
-
-    def set_capture(self, capture) -> None:
-        """Install (or clear, with ``None``) the advance-capture callback.
-
-        Unlike the observer it receives ``(category, dt)`` with the *exact*
-        post-slowdown delta — including ``dt == 0`` advances, which still
-        create a breakdown entry — so a recorder can replay the advance
-        stream bit-for-bit (reconstructing ``dt`` from observed
-        ``t1 - t0`` is not exact in floating point)."""
-        with self._lock:
-            self._capture = capture
+            self._hook = hook
 
     @property
     def time(self) -> float:
@@ -121,10 +109,8 @@ class SimClock:
             t0 = self._time
             self._time += dt
             self._busy[category] = self._busy.get(category, 0.0) + dt
-            if self._capture is not None:
-                self._capture(category, dt)
-            if self._observer is not None and dt > 0.0:
-                self._observer(category, t0, self._time)
+            if self._hook is not None:
+                self._hook(category, t0, self._time, dt)
 
     def sync_to(self, t: float, category: str = "wait") -> None:
         """Jump forward to absolute time ``t`` (no-op if already past it)."""
@@ -133,8 +119,8 @@ class SimClock:
                 t0 = self._time
                 self._busy[category] = self._busy.get(category, 0.0) + (t - self._time)
                 self._time = t
-                if self._observer is not None:
-                    self._observer(category, t0, t)
+                if self._hook is not None:
+                    self._hook(category, t0, t, None)
 
     def breakdown(self) -> Dict[str, float]:
         """Seconds spent per category (compute / comm / wait / ...)."""

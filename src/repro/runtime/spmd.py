@@ -22,12 +22,15 @@ from __future__ import annotations
 
 import threading
 import time
+from functools import partial
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.machine import ClusterSpec
 from repro.runtime.clock import SimClock, StreamClock
+from repro.runtime.observer import ObserverList
 from repro.runtime.errors import (
     CollectiveTimeout, RankFailure, RemoteRankError, SpmdAborted,
 )
@@ -163,9 +166,30 @@ def _resolve_sanitizer(sanitize: Any) -> Any:
     )
 
 
+def _observer_slot(name: str) -> property:
+    """A runtime attribute holding one observer or None; assigning it
+    rebuilds ``runtime.observers``."""
+    attr = "_" + name
+
+    def assign(runtime: "SpmdRuntime", observer: Any) -> None:
+        setattr(runtime, attr, observer)
+        runtime._observers_changed()
+
+    return property(attrgetter(attr), assign)
+
+
 class SpmdRuntime:
     """Owns the cluster, clocks, process-group registry and mailboxes for one
-    SPMD program (or a sequence of them over the same cluster)."""
+    SPMD program (or a sequence of them over the same cluster).
+
+    ``tracer``, ``sanitizer`` and ``capture`` hold the installed observers
+    (set by each one's ``install``); ``observers`` is their
+    :class:`~repro.runtime.observer.ObserverList` in the fixed order
+    sanitizer, capture, tracer — or None when none is installed."""
+
+    tracer = _observer_slot("tracer")
+    sanitizer = _observer_slot("sanitizer")
+    capture = _observer_slot("capture")
 
     def __init__(
         self,
@@ -234,21 +258,23 @@ class SpmdRuntime:
         self.failure: Optional[Tuple[int, BaseException]] = None
         self._group_lock = threading.Lock()
         self._groups: Dict[Tuple[int, ...], Any] = {}
-        #: event tracer (repro.trace.Tracer) or None; every instrumentation
-        #: site in the stack gates on this being non-None.
-        self.tracer: Optional[Any] = None
+        self.observers: Optional[ObserverList] = None
+        self._tracer = self._sanitizer = self._capture = None
         if tracer is not None:
             tracer.install(self)
-        #: communication sanitizer (repro.sanitize.CommSanitizer) or None;
-        #: like the tracer, every hook site gates on this being non-None.
-        self.sanitizer: Optional[Any] = None
         if sanitize is not None and sanitize is not False:
             _resolve_sanitizer(sanitize).install(self)
-        #: op-stream capture recorder (repro.project.CaptureRecorder) or
-        #: None; hook sites gate on this like tracer/sanitizer.
-        self.capture: Optional[Any] = None
         if capture is not None:
             capture.install(self)
+
+    def _observers_changed(self) -> None:
+        installed = [o for o in (self._sanitizer, self._capture, self._tracer)
+                     if o is not None]
+        obs = ObserverList(installed) if installed else None
+        self.observers = obs
+        hook = obs.clock if obs is not None and "clock" in obs.handled else None
+        for rank, clock in enumerate(self.clocks):
+            clock.set_hook(None if hook is None else partial(hook, rank))
 
     # -- failure propagation -------------------------------------------------
 
@@ -256,6 +282,8 @@ class SpmdRuntime:
         if self.failure is None:
             self.failure = (rank, exc)
         self._abort.set()
+        if self.observers is not None:
+            self.observers.rank_failed(rank, exc, self.clocks[rank].time)
         # rendezvous waits are notify-driven, so blocked peers must be woken
         # explicitly or they would sleep through the abort until their
         # deadlock timeout
@@ -347,24 +375,19 @@ class SpmdRuntime:
             ctx = RankContext(self, rank, materialize, seed=seed * 100003 + rank)
             _thread_local.ctx = ctx
             t_start = ctx.clock.time
+            ok = False
             try:
                 results[rank] = fn(ctx, *args, **kwargs)
-                if self.tracer is not None:
-                    self.tracer.annotate(
-                        rank, "rank", f"rank{rank}", t_start, ctx.clock.time
-                    )
+                ok = True
             except SpmdAborted:
                 pass  # secondary failure; the primary is re-raised below
             except BaseException as exc:  # noqa: BLE001 - must propagate anything
                 errors[rank] = exc
                 self.signal_failure(rank, exc)
-                self._trace_failure(rank, exc)
             finally:
-                if self.sanitizer is not None:
-                    self.sanitizer.on_rank_done(rank)
-                    # wake parked peers so check_stalled sees the exit now,
-                    # not at the next diagnosis tick
-                    self._wake_all()
+                obs = self.observers
+                if obs is not None:
+                    obs.rank_done(rank, t_start, ctx.clock.time, ok)
                 _thread_local.ctx = None
 
         threads = [
@@ -412,19 +435,19 @@ class SpmdRuntime:
         outer = getattr(_thread_local, "ctx", None)
         _thread_local.ctx = ctx
         result = None
+        ok = False
         try:
             result = fn(ctx, *args, **kwargs)
-            if self.tracer is not None:
-                for rank, clock in enumerate(self.clocks):
-                    self.tracer.annotate(
-                        rank, "rank", f"rank{rank}", t_starts[rank], clock.time
-                    )
+            ok = True
         except BaseException as exc:  # noqa: BLE001 - must propagate anything
-            rank = exc.rank if isinstance(exc, RankFailure) else 0
-            self.signal_failure(rank, exc)
-            self._trace_failure(rank, exc)
+            self.signal_failure(
+                exc.rank if isinstance(exc, RankFailure) else 0, exc)
         finally:
             _thread_local.ctx = outer
+        obs = self.observers
+        if obs is not None:
+            for rank, clock in enumerate(self.clocks):
+                obs.rank_done(rank, t_starts[rank], clock.time, ok)
         self._end_run()
         return result
 
@@ -438,28 +461,18 @@ class SpmdRuntime:
         self._reset_comm_state()
         if self.fault_injector is not None:
             self.fault_injector.install(self)
-        if self.sanitizer is not None:
-            self.sanitizer.begin_run(self)
-        if self.capture is not None:
-            self.capture.begin_run(self)
+        if self.observers is not None:
+            self.observers.begin_run(self)
         self._abort.clear()
         self.failure = None
 
-    def _trace_failure(self, rank: int, exc: BaseException) -> None:
-        if self.tracer is not None:
-            self.tracer.instant(
-                rank, f"rank{rank}:failed", self.clocks[rank].time,
-                error=type(exc).__name__,
-            )
-
     def _end_run(self) -> None:
         """Per-run checks shared by :meth:`run` and :meth:`run_collapsed`:
-        the sanitizer's verdict, the primary failure re-raised on the
-        launcher thread, the buffer-pool leak check and the capture."""
-        if self.sanitizer is not None:
-            # on a clean replayed run, a golden stream the program stopped
-            # short of is itself a divergence and raises here
-            self.sanitizer.end_run(ok=self.failure is None)
+        the observers' end of run (the sanitizer's verdict may raise), the
+        primary failure re-raised on the launcher thread and the
+        buffer-pool leak check."""
+        if self.observers is not None:
+            self.observers.end_run(self, self.failure is None)
         if self.failure is not None:
             rank, cause = self.failure
             raise RemoteRankError(rank, cause) from cause
@@ -467,8 +480,6 @@ class SpmdRuntime:
             # clean runs must have returned or adopted every loan; an
             # unreturned scratch buffer is a runtime bug, named here
             self.buffer_pool.check_leaks()
-        if self.capture is not None:
-            self.capture.end_run(self)
 
     def _reset_comm_state(self) -> None:
         """Drop stale rendezvous rounds and undelivered messages so the

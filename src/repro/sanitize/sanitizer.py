@@ -3,9 +3,8 @@
 :class:`CommSanitizer` is the runtime correctness checker for the threaded
 SPMD runtime (the analogue of ``TORCH_DISTRIBUTED_DEBUG=DETAIL`` plus parts
 of compute-sanitizer).  Installed on a :class:`~repro.runtime.spmd.SpmdRuntime`
-it piggybacks on every :meth:`ProcessGroup.rendezvous
-<repro.comm.group.ProcessGroup.rendezvous>` and p2p transfer — never adding
-a collective round of its own — and provides four facilities:
+it observes every collective round and p2p transfer — never adding a
+collective round of its own — and provides four facilities:
 
 1. **Mismatch detection** — every member rank's
    :class:`~repro.sanitize.spec.CollectiveSpec` is cross-checked when a
@@ -29,22 +28,16 @@ a collective round of its own — and provides four facilities:
    as *loans*, so a later mutation by the owner raises at the guilty line
    instead of silently corrupting the borrower.
 
-All state is per-run (reset by :meth:`begin_run`); every hook in the hot
-path gates on ``runtime.sanitizer is None`` so the disabled cost is one
-attribute check.
+It is a runtime observer (:mod:`repro.runtime.observer`): op-stream
+records, checksums and injected-fault attribution come from its events,
+while the spec cross-check, the race freeze and the wait diagnosis are the
+explicit calls the comm sites make before a round finalizes or while a
+rank is parked.  All state is per-run (reset by :meth:`begin_run`).
 
-**Nonblocking collectives.**  For ``iallreduce``-style calls the rendezvous
-point is *handle completion*, not issue order: every member still joins the
-same per-group sequence number (issue order per group is required to match
-across ranks — that is what the spec check verifies), but ranks may
-``wait()`` their handles in any order afterwards.  ``verify_round`` and the
-checksum/race hooks fire when the round's last *issuer* arrives, and the
-desync detector treats a rank parked in ``WorkHandle.wait()`` exactly like
-one parked in a blocking rendezvous: ``enter_wait``/``exit_wait`` bracket
-the park and ``check_stalled`` can convict it of a wait-for cycle.  A group
-where some ranks issue a collective blocking and others nonblocking fails
-the round for everyone (mixed-mode rendezvous error from the process
-group) before any sanitizer check runs.
+**Nonblocking collectives.**  Issue order per group must match across
+ranks (the spec check verifies it); the round's checks run when its last
+*issuer* arrives, and a rank parked in ``WorkHandle.wait()`` is diagnosed
+like one parked in a blocking rendezvous.
 """
 
 from __future__ import annotations
@@ -57,6 +50,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.comm.payload import is_spec
+from repro.runtime.observer import Observer
 from repro.sanitize.errors import (
     ChecksumMismatch,
     CollectiveDesync,
@@ -246,7 +240,7 @@ class _WaitState:
     rnd: Any
 
 
-class CommSanitizer:
+class CommSanitizer(Observer):
     """Runtime cross-rank correctness checker (see module docstring).
 
     Parameters
@@ -265,6 +259,8 @@ class CommSanitizer:
         it and diverging ops raise :class:`ReplayDivergence`.
     """
 
+    slot = "sanitizer"
+
     def __init__(self, *, checksum: bool = False, race: bool = False,
                  callsites: bool = True,
                  replay: Optional[Any] = None) -> None:
@@ -280,7 +276,6 @@ class CommSanitizer:
         self._waiting: Dict[int, _WaitState] = {}
         self._done: set = set()
         self._world = 0
-        self._runtime: Optional[Any] = None
         self.events: List[ChecksumEvent] = []
         self.rounds_checked = 0
         self.mismatches = 0
@@ -290,21 +285,8 @@ class CommSanitizer:
     # -- lifecycle ---------------------------------------------------------
 
     def install(self, runtime: Any) -> "CommSanitizer":
-        """Attach to ``runtime``: every comm hook gates on
-        ``runtime.sanitizer`` being non-None."""
-        if self._runtime is not None and self._runtime is not runtime:
-            self.uninstall()
-        self._runtime = runtime
         self._world = runtime.world_size
-        runtime.sanitizer = self
-        return self
-
-    def uninstall(self) -> None:
-        rt = self._runtime
-        if rt is None:
-            return
-        rt.sanitizer = None
-        self._runtime = None
+        return super().install(runtime)
 
     def begin_run(self, runtime: Any) -> None:
         """Per-run reset (called from :meth:`SpmdRuntime.run`)."""
@@ -322,7 +304,7 @@ class CommSanitizer:
         if self.race_detector is not None:
             self.race_detector.reset()
 
-    def end_run(self, ok: bool) -> None:
+    def end_run(self, runtime: Any, ok: bool) -> None:
         """Post-run: release race-detector freezes; on a clean replay run,
         a golden stream the program did not finish is itself a divergence."""
         if self.race_detector is not None:
@@ -335,9 +317,12 @@ class CommSanitizer:
                     if live < len(golden):
                         raise ReplayDivergence(rank, live, golden[live], None)
 
-    def on_rank_done(self, rank: int) -> None:
+    def rank_done(self, rank: int, t0: float, t1: float, ok: bool) -> None:
         with self._lock:
             self._done.add(rank)
+        # wake parked peers so check_stalled sees the exit now, not at the
+        # next diagnosis tick
+        self._runtime._wake_all()
 
     # -- spec construction (called from Communicator, sanitizer-gated) ------
 
@@ -359,7 +344,7 @@ class CommSanitizer:
             contributes=contributes,
         )
 
-    # -- rendezvous hooks ----------------------------------------------------
+    # -- pre-finalize checks (explicit calls from the process group) ---------
 
     def verify_round(self, group: Any, seq: int,
                      specs: Optional[Dict[int, CollectiveSpec]]) -> None:
@@ -391,19 +376,17 @@ class CommSanitizer:
         if token and self.race_detector is not None:
             self.race_detector.release(token)
 
-    def finish_round(self, group: Any, seq: int,
-                     specs: Optional[Dict[int, CollectiveSpec]],
-                     payloads: Dict[int, Any], results: Dict[int, Any],
-                     race_token: Optional[List[_Frozen]] = None,
-                     ) -> Dict[str, Any]:
+    def round_done(self, group: Any, seq: int, rnd: Any, mode: str) -> None:
         """Successful round epilogue: race verification, per-rank op-stream
-        records (with checksums when enabled), replay conformance.  Returns
-        the extra tags for the round's trace spans."""
+        records (with checksums when enabled), replay conformance.  Tags
+        the round's spans via ``rnd.trace_extra``."""
+        specs, payloads, results = rnd.specs, rnd.payloads, rnd.results
         op = next(iter(specs.values())).op if specs else "collective"
-        if race_token is not None and self.race_detector is not None:
+        if rnd.race_token is not None and self.race_detector is not None:
             self.race_detector.verify_and_release(
-                op, race_token, results, group.ranks
+                op, rnd.race_token, results, group.ranks
             )
+            rnd.race_token = None
         digest: Optional[int] = None
         with self._lock:
             for local in sorted(payloads):
@@ -429,7 +412,7 @@ class CommSanitizer:
         extra: Dict[str, Any] = {"sanitized": True}
         if digest is not None:
             extra["digest"] = digest
-        return extra
+        rnd.trace_extra = extra
 
     # -- desync detection ----------------------------------------------------
 
@@ -513,9 +496,11 @@ class CommSanitizer:
             group.ranks, seq, op, waiting, guilty, detail, callsites
         )
 
-    # -- p2p hooks -----------------------------------------------------------
+    # -- p2p events ----------------------------------------------------------
 
-    def note_send(self, src: int, dst: int, key: Any, payload: Any) -> None:
+    def sent(self, kind: str, key: Any, payload: Any, cost: Any,
+             t0: float, t1: float, handle: Any) -> None:
+        src, dst = key[0], key[1]
         sd = _shape_dtype(payload)
         crc = payload_checksum(payload) if self.checksum else None
         with self._lock:
@@ -525,7 +510,8 @@ class CommSanitizer:
                 "send", "send", f"send{sd}", peer=dst, crc=crc,
             ))
 
-    def verify_recv(self, src: int, dst: int, key: Any, payload: Any) -> None:
+    def received(self, key: Any, payload: Any, t0: float, t1: float) -> None:
+        src, dst = key[0], key[1]
         sd = _shape_dtype(payload)
         crc = None
         if self.checksum:
@@ -547,20 +533,22 @@ class CommSanitizer:
                 "recv", "recv", f"recv{sd}", peer=src, crc=crc,
             ))
 
-    def note_injected_corruption(self, src: int, dst: int) -> None:
-        """The fault injector corrupted one p2p attempt; the transport's
-        receiver-side checksum caught it and the retry layer retransmits —
-        attribution: injected, healed."""
+    def p2p_retry(self, src: int, dst: int, attempt: int, verdict: str,
+                  t0: float, t1: float) -> None:
+        """A corrupted attempt was caught by the transport's receiver-side
+        checksum and retransmitted — attribution: injected, healed."""
+        if verdict != "corrupt":
+            return
         with self._lock:
             self.events.append(ChecksumEvent(
                 "p2p", "p2p", src, dst, injected=True, healed=True,
             ))
 
-    def note_injected_glitch(self, op: str, ranks: Sequence[int],
-                             attempts: int, permanent: bool) -> None:
+    def round_retry(self, group: Any, op: str, attempts: int,
+                    permanent: bool) -> None:
         with self._lock:
             self.events.append(ChecksumEvent(
-                "collective", op, min(ranks), max(ranks),
+                "collective", op, min(group.ranks), max(group.ranks),
                 injected=True, healed=not permanent,
             ))
 

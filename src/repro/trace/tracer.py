@@ -4,30 +4,21 @@ A :class:`Tracer` records what every rank of an SPMD program did and when —
 in *simulated* seconds, the same timebase :class:`~repro.runtime.clock.SimClock`
 charges.  Two event sources feed it:
 
-* **clock spans** — every ``SimClock.advance``/``sync_to`` emits a span
-  tagged with the clock's category (``compute``, ``comm``, ``wait``,
-  ``offload``, ``optimizer``).  Summed per category these reconcile exactly
-  with ``SimClock.breakdown()``, so the trace is a lossless refinement of
-  the end-state scalars.
-* **annotation spans** — higher layers name the work: collectives with wire
-  bytes and retry counts (``collective``/``retry``), point-to-point
-  transfers (``p2p``), per-microbatch pipeline stages (``pipeline``) and
-  receive stalls (``bubble``), ZeRO chunk traffic (``zero``), trainer steps
-  and checkpoints (``step``/``checkpoint``), and one ``rank`` lifecycle
-  span per rank.  Nonblocking collectives add a **comm-stream lane** per
-  rank: ``comm_stream`` spans mark when each async transfer occupied the
-  rank's communication stream, and ``overlap`` spans on the compute lane
-  mark the *exposed* tail a ``wait()`` actually stalled for — together they
-  split comm time into hidden (overlapped) and exposed parts.
+* **clock spans** — every nonzero ``SimClock.advance`` and forward
+  ``sync_to`` emits a span tagged with the clock's category (``compute``,
+  ``comm``, ``wait``, ``offload``, ``optimizer``).  Summed per category
+  these reconcile exactly with ``SimClock.breakdown()``.
+* **annotation spans** — the tracer's observer events
+  (:mod:`repro.runtime.observer`) build the comm spans: collectives and
+  their retries (``collective``/``retry``), p2p transfers (``p2p``), the
+  per-rank comm-stream lane (``comm_stream``), the exposed tail of a
+  handle wait (``overlap``) and one ``rank`` span per rank.  Higher layers
+  annotate their own work directly: pipeline stages and bubbles, ZeRO
+  chunk traffic, trainer steps, checkpoints and serving requests.
 
-Instrumentation is zero-cost when disabled: every hook site is a single
-``is None`` check on an attribute that defaults to ``None``.
-
-When a :class:`~repro.sanitize.CommSanitizer` is installed alongside the
-tracer, collective spans additionally carry ``sanitized=True`` and (under
-checksum mode) a ``digest`` tag — the combined CRC of the round's result
-buffers — and sanitizer verdicts appear as ``sanitizer:<ErrorType>``
-instant events on the rank that detected them.
+A sanitizer installed alongside puts ``sanitized``/``digest`` tags on the
+collective spans, and its desync verdicts appear as
+``sanitizer:<ErrorType>`` instants.
 
 Consumers: :func:`repro.trace.chrome.chrome_trace` (open in
 ``chrome://tracing`` / Perfetto) and :class:`repro.trace.report.TraceReport`
@@ -40,6 +31,8 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
+
+from repro.runtime.observer import Observer
 
 #: categories emitted by SimClock observers (the reconcilable set)
 CLOCK_CATEGORIES = ("compute", "comm", "wait", "offload", "optimizer")
@@ -93,7 +86,7 @@ class Counter:
     values: Dict[str, float] = field(default_factory=dict)
 
 
-class Tracer:
+class Tracer(Observer):
     """Collects per-rank spans/instants/counters for one or more SPMD runs.
 
     Attach with ``SpmdRuntime(cluster, tracer=tracer)`` or
@@ -101,35 +94,15 @@ class Tracer:
     is thread-safe (rank threads and rendezvous finalizers all append).
     """
 
+    slot = "tracer"
+
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._spans: List[Span] = []
         self._instants: List[Instant] = []
         self._counters: List[Counter] = []
-        self._runtime: Optional[Any] = None
 
     # -- lifecycle ---------------------------------------------------------
-
-    def install(self, runtime: Any) -> "Tracer":
-        """Attach to a runtime: register clock observers and make this
-        tracer visible to every instrumentation site via ``runtime.tracer``."""
-        if self._runtime is not None and self._runtime is not runtime:
-            self.uninstall()
-        self._runtime = runtime
-        runtime.tracer = self
-        for rank, clock in enumerate(runtime.clocks):
-            clock.set_observer(_ClockObserver(self, rank))
-        return self
-
-    def uninstall(self) -> None:
-        """Detach from the runtime (instrumentation reverts to zero-cost)."""
-        rt = self._runtime
-        if rt is None:
-            return
-        for clock in rt.clocks:
-            clock.set_observer(None)
-        rt.tracer = None
-        self._runtime = None
 
     def clear(self) -> None:
         """Drop all recorded events (e.g. between runs on the same runtime,
@@ -140,12 +113,6 @@ class Tracer:
             self._counters.clear()
 
     # -- recording ---------------------------------------------------------
-
-    def clock_span(self, rank: int, category: str, t0: float, t1: float) -> None:
-        """Record a clock-level category span (called by SimClock observers;
-        zero-duration advances are skipped at the call site)."""
-        with self._lock:
-            self._spans.append(Span(rank, category, category, t0, t1, KIND_CLOCK))
 
     def annotate(self, rank: int, cat: str, name: str, t0: float, t1: float,
                  **args: Any) -> None:
@@ -180,6 +147,87 @@ class Tracer:
             rank, f"mem:{device.name}", t,
             allocated=float(device.memory.allocated),
         )
+
+    # -- observer events ---------------------------------------------------
+
+    def clock(self, rank: int, category: str, t0: float, t1: float,
+              dt: Optional[float]) -> None:
+        if dt is None or dt > 0.0:
+            with self._lock:
+                self._spans.append(
+                    Span(rank, category, category, t0, t1, KIND_CLOCK))
+
+    def rank_done(self, rank: int, t0: float, t1: float, ok: bool) -> None:
+        if ok:
+            self.annotate(rank, "rank", f"rank{rank}", t0, t1)
+
+    def rank_failed(self, rank: int, exc: BaseException, t: float) -> None:
+        self.instant(rank, f"rank{rank}:failed", t, error=type(exc).__name__)
+
+    def stall_diagnosed(self, rank: int, err: BaseException,
+                        t: float) -> None:
+        self.instant(rank, f"sanitizer:{type(err).__name__}", t)
+
+    def round_done(self, group: Any, seq: int, rnd: Any, mode: str) -> None:
+        """One span per member: a blocking round spans each member's own
+        entry to the common completion on its compute lane (plus a retry
+        span), a nonblocking one the stream occupancy on its comm lane.
+        Local rank 0's span carries the round totals."""
+        cost = rnd.cost
+        if mode == "solo":
+            self.annotate(
+                group.ranks[0], "collective", rnd.op, rnd.entry_times[0],
+                rnd.t_end, wire_bytes=cost.wire_bytes, group_size=1,
+                primary=True, algo=cost.algorithm, **rnd.trace_extra,
+            )
+            return
+        sync = mode == "sync"
+        for local, g in enumerate(group.ranks):
+            self.annotate(
+                g, "collective" if sync else "comm_stream", rnd.op,
+                rnd.entry_times[local] if sync else rnd.t_start, rnd.t_end,
+                wire_bytes=cost.wire_bytes, group_size=group.size,
+                retries=rnd.retries, primary=(local == 0),
+                algo=cost.algorithm, **rnd.trace_extra,
+            )
+            if sync and rnd.retries:
+                self.annotate(
+                    g, "retry", f"{rnd.op}:retry",
+                    rnd.t_end - rnd.retry_seconds, rnd.t_end,
+                    attempts=rnd.retries,
+                )
+
+    def round_waited(self, rank: int, group: Any, seq: int, op: str,
+                     t_wait: float, t_end: float, exposed: float,
+                     overlapped: float) -> None:
+        if exposed > 0.0:
+            self.annotate(rank, "overlap", f"wait/{op}", t_wait, t_end,
+                          exposed=exposed, overlapped=overlapped)
+
+    def sent(self, kind: str, key: Any, payload: Any, cost: Any,
+             t0: float, t1: float, handle: Any) -> None:
+        if kind == "ps":
+            self.annotate(key[0], "p2p", "send", t0, t1, dst=key[1],
+                          nbytes=int(payload.nbytes))
+        elif kind == "pss":
+            self.annotate(key[0], "comm_stream", "isend", t0, t1, dst=key[1],
+                          nbytes=int(payload.nbytes))
+
+    def p2p_retry(self, src: int, dst: int, attempt: int, verdict: str,
+                  t0: float, t1: float) -> None:
+        self.annotate(src, "retry", "p2p:retry", t0, t1, dst=dst,
+                      attempt=attempt)
+
+    def stream_waited(self, rank: int, handle: Any, t_wait: float,
+                      t_end: float, exposed: float,
+                      overlapped: float) -> None:
+        if exposed > 0.0:
+            self.annotate(rank, "overlap", "wait/isend", t_wait, t_end,
+                          exposed=exposed, overlapped=overlapped)
+
+    def received(self, key: Any, payload: Any, t0: float, t1: float) -> None:
+        self.annotate(key[1], "p2p", "recv", t0, t1, src=key[0],
+                      nbytes=int(payload.nbytes))
 
     # -- accessors ---------------------------------------------------------
 
@@ -222,16 +270,3 @@ class Tracer:
             f"Tracer(spans={len(self._spans)}, instants={len(self._instants)}, "
             f"counters={len(self._counters)})"
         )
-
-
-class _ClockObserver:
-    """Per-clock callback binding a rank id (avoids a closure per clock)."""
-
-    __slots__ = ("_tracer", "_rank")
-
-    def __init__(self, tracer: Tracer, rank: int) -> None:
-        self._tracer = tracer
-        self._rank = rank
-
-    def __call__(self, category: str, t0: float, t1: float) -> None:
-        self._tracer.clock_span(self._rank, category, t0, t1)

@@ -64,7 +64,7 @@ class Trainer:
         SPMD, so every trace site is one cheap check."""
         if in_spmd():
             ctx = current_rank_context()
-            tracer = getattr(ctx.runtime, "tracer", None)
+            tracer = ctx.runtime.tracer
             if tracer is not None:
                 return tracer, ctx
         return None, None

@@ -65,7 +65,7 @@ class ZeroOffloadEngine:
         self.policy = policy
         self.criterion = criterion
         if overlap is None:
-            overlap = getattr(ctx.runtime, "comm_overlap", False)
+            overlap = ctx.runtime.comm_overlap
         #: overlap scheduler: prefetch the next block's all-gathers while the
         #: current block computes, reduce-scatter gradients asynchronously
         self.overlap = bool(overlap) and dp_comm.size > 1
@@ -75,7 +75,7 @@ class ZeroOffloadEngine:
         self.weight_decay = weight_decay
         self.reuse_fp16_storage = reuse_fp16_storage
         self.cost_model = CostModel(ctx.cluster)
-        self._tracer = getattr(ctx.runtime, "tracer", None)
+        self._tracer = ctx.runtime.tracer
         dtype = np.dtype(param_dtype)
         chunk_elements = int(chunk_mb * MB / dtype.itemsize)
         self.chunk_mgr = ChunkManager(

@@ -229,6 +229,21 @@ class TestP2P:
 
         assert run_spmd(2, prog) == [1.0, 0.0]
 
+    def test_communicator_and_request_reprs(self):
+        def prog(ctx):
+            comm = Communicator.world(ctx)
+            if ctx.rank == 0:
+                req = comm.isend(np.zeros(2), dst=1)
+                out = (repr(comm), repr(req))
+                req.wait()
+                return out
+            comm.recv(src=0)
+            return None
+
+        comm_repr, req_repr = run_spmd(2, prog)[0]
+        assert comm_repr == "Communicator(rank=0/2, group=[0, 1])"
+        assert req_repr.startswith("<repro.comm.communicator.Request object")
+
 
 class TestSpecMode:
     def test_all_reduce_spec(self):

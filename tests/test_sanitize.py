@@ -272,9 +272,10 @@ class TestChecksums:
         # a direct producer/consumer hash disagreement with no injected
         # fault must be attributed to a logic bug
         san = CommSanitizer(checksum=True)
-        san.note_send(0, 1, key="k", payload=np.arange(4.0))
+        key = (0, 1, None, "k")  # (src, dst, group, tag)
+        san.sent("ps", key, np.arange(4.0), None, 0.0, 0.0, None)
         with pytest.raises(ChecksumMismatch) as ei:
-            san.verify_recv(0, 1, key="k", payload=np.zeros(4))
+            san.received(key, np.zeros(4), 0.0, 0.0)
         assert ei.value.injected is False
         assert "logic bug" in str(ei.value)
 

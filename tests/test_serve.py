@@ -454,6 +454,21 @@ class TestServeEngine:
         assert [sum(1 for ev in stream if ev[0] == "c")
                 for stream in trace.streams] == [rounds] * 4
 
+    @pytest.mark.projection
+    def test_recorded_replay_of_captured_serve_is_exact(self):
+        # serving's idle and recovery waits are non-comm clock syncs; the
+        # capture must carry them or the replayed step time comes up short
+        from repro.project import CaptureRecorder, project
+
+        rec = CaptureRecorder()
+        rt = SpmdRuntime(uniform_cluster(4), 4, capture=rec)
+        serve_traffic(SMALL_MODEL, _open(n=12), runtime=rt)
+        report = project(rec.trace(), mode="recorded")
+        assert report.step_time == rt.max_time()
+        assert [r.breakdown for r in report.per_rank] == [
+            c.breakdown() for c in rt.clocks]
+        assert any(ev[0] == "s" for ev in rec.trace().streams[0])
+
 
 # ---------------------------------------------------------------------------
 # Chaos x serving: rank loss mid-request is an SLO event, not a crash

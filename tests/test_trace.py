@@ -15,6 +15,7 @@ from repro.context import ParallelContext
 from repro.nn import Linear, Module, ModuleList
 from repro.parallel.pipeline import GPipeSchedule, OneFOneBSchedule
 from repro.runtime import SpmdRuntime
+from repro.runtime.observer import EVENTS
 from repro.tensor import Tensor
 from repro.trace import TraceReport, Tracer, chrome_trace, save_chrome_trace
 
@@ -316,3 +317,94 @@ class TestTrainerAndZeroSpans:
         assert [s.name for s in tracer.spans(cat="step") if s.rank == 0] == [
             "zero_step1"
         ]
+
+
+# -- the observer seam ------------------------------------------------------
+
+
+class _CountingTracer(Tracer):
+    """A tracer that also logs every observer event it receives."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+
+def _logging(name):
+    def handler(self, *args):
+        self.log.append((name, args))
+        getattr(Tracer, name)(self, *args)
+    return handler
+
+
+for _name in EVENTS:
+    setattr(_CountingTracer, _name, _logging(_name))
+
+
+def _seam_program(ctx):
+    comm = Communicator.world(ctx)
+    x = np.ones(4)
+    comm.all_reduce(x)
+    comm.iallreduce(x).wait()
+    comm.subgroup([comm.rank]).all_reduce(x)
+    if ctx.rank == 0:
+        comm.send(x, dst=1)
+        comm.isend(x, dst=1, tag=1).wait()
+    else:
+        comm.recv(src=0)
+        comm.recv(src=0, tag=1)
+
+
+def _per_rank(log):
+    """Each rank's view of the logged comm events, in firing order: a round
+    belongs to every member, a transfer to its own side."""
+    view = defaultdict(list)
+    for name, args in log:
+        if name == "round_done":
+            group, _seq, _rnd, mode = args
+            for g in group.ranks:
+                view[g].append((name, mode))
+        elif name == "sent":
+            view[args[1][0]].append((name, args[0]))
+        elif name == "received":
+            view[args[0][1]].append((name,))
+        elif name not in ("begin_run", "end_run", "clock"):
+            view[args[0]].append((name,))
+    return dict(view)
+
+
+@pytest.mark.trace
+class TestObserverSeam:
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_one_event_per_round_or_transfer_in_program_order(self, overlap):
+        obs = _CountingTracer()
+        rt = SpmdRuntime(uniform_cluster(2), tracer=obs, comm_overlap=overlap)
+        rt.run(_seam_program)
+        names = [name for name, _ in obs.log]
+        assert names.count("begin_run") == names.count("end_run") == 1
+        isend = [("sent", "pss"), ("stream_waited",)] if overlap else [
+            ("sent", "pse"), ("eager_waited",)]
+        rounds = [("round_done", "sync"), ("round_issued",),
+                  ("round_done", "async"), ("round_waited",),
+                  ("round_done", "solo")]
+        assert _per_rank(obs.log) == {
+            0: rounds + [("sent", "ps")] + isend + [("rank_done",)],
+            1: rounds + [("received",), ("received",), ("rank_done",)],
+        }
+
+    def test_one_thread_round_is_one_event(self):
+        obs = _CountingTracer()
+        rt = SpmdRuntime(uniform_cluster(2), tracer=obs)
+        rt.run_collapsed(lambda ctx: Communicator.world(ctx).all_reduce_members(
+            [np.ones(4), np.ones(4)]))
+        assert _per_rank(obs.log) == {
+            r: [("round_done", "sync"), ("rank_done",)] for r in (0, 1)}
+
+    def test_no_observer_no_event(self):
+        obs = _CountingTracer()
+        rt = SpmdRuntime(uniform_cluster(2), tracer=obs, comm_overlap=True)
+        obs.uninstall()
+        rt.run(_seam_program)
+        assert obs.log == []
+        assert rt.observers is None
+        assert all(c._hook is None for c in rt.clocks)
